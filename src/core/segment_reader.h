@@ -28,7 +28,7 @@
 namespace scc {
 
 /// Open-time verification options. Checksum verification defaults OFF here
-/// because the scan path Opens a reader per vector over buffer-manager
+/// because the scan path Opens a reader per page over buffer-manager
 /// memory that was already verified at page-fix time; FileStore and the
 /// buffer manager opt in at their I/O boundaries instead.
 struct SegmentOpenOptions {

@@ -61,11 +61,9 @@
 // kShards shards keyed by page id, so morsel workers fetching different
 // chunks rarely contend. Three mechanisms make shared use safe:
 //
-//  * Pins — FetchPinned returns a PageGuard that holds a per-page pin
-//    count; pinned pages are never evicted, so a decode can never race an
-//    eviction freeing the owned copy under it. The pointer-returning
-//    Fetch remains for single-threaded callers and keeps its historical
-//    valid-until-evicted contract.
+//  * Pins — FetchPinned, the one way to read a page, returns a PageGuard
+//    that holds a per-page pin count; pinned pages are never evicted, so
+//    a decode can never race an eviction freeing the owned copy under it.
 //  * Miss coalescing — N workers faulting the same I/O unit join one
 //    in-flight read (a single device charge, whichever tier serves it);
 //    followers block until the leader publishes the page or its final
@@ -83,7 +81,7 @@
 // through the fault path, verifying it, and retrying failed reads a
 // bounded number of times. Every failed attempt counts into
 // storage.io_faults; a read that exhausts its retries is NOT cached (so a
-// later Fetch retries from "disk") and surfaces as a non-OK Result
+// later fetch retries from "disk") and surfaces as a non-OK Result
 // instead of an abort. A page whose SSD-tier read permanently fails is
 // dropped from the SSD tier, so the NEXT fetch falls back to the cold
 // device — an injected SSD fault can cost a query, never the data.
@@ -306,19 +304,6 @@ class BufferManager {
     }
   }
 
-  /// Returns the (compressed) bytes of `col`'s chunk `chunk_idx`,
-  /// charging the simulated disk on a miss. The returned pointer is valid
-  /// until the entry is evicted or the cache is cleared — an UNPINNED
-  /// contract that is only sound single-threaded; concurrent readers must
-  /// use FetchPinned.
-  Result<const AlignedBuffer*> Fetch(const Table* table,
-                                     const StoredColumn* col,
-                                     size_t chunk_idx) {
-    SCC_ASSIGN_OR_RETURN(PageGuard guard, FetchPinned(table, col, chunk_idx));
-    const AlignedBuffer* page = guard.page();
-    return page;  // guard unpins on scope exit
-  }
-
   /// Warms the cache with `col`'s chunk `chunk_idx` (the async
   /// prefetcher's entry point). Errors are returned but safe to ignore:
   /// failed prefetches are not cached, so the demand fetch retries.
@@ -394,7 +379,8 @@ class BufferManager {
   /// sharing the manager across threads.
   void SetVerifyChecksums(bool on) { verify_checksums_ = on; }
   bool verify_checksums() const { return verify_checksums_; }
-  /// Failed page reads are retried this many times before Fetch gives up.
+  /// Failed page reads are retried this many times before FetchPinned
+  /// gives up.
   /// Configure before sharing the manager across threads.
   void set_max_read_retries(int n) { max_read_retries_ = n; }
 

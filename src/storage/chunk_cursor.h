@@ -29,8 +29,9 @@
 //
 // Every failure (a page unreadable after the buffer manager's retries, a
 // segment that fails validation) comes back as a Status, never an abort.
-// ParallelScan drives one cursor per slot over its morsels; TableScanOp
-// runs PageReader over the pages it fetches per vector.
+// ParallelScan drives one cursor per slot over its morsels, TableScanOp
+// one cursor over the table's chunks in order, and Checkpoint one
+// single-column cursor per column.
 
 namespace scc {
 
@@ -99,6 +100,10 @@ class ChunkCursor {
 
   const Batch& batch() const { return batch_; }
   const SelVec& selection() const { return sel_; }
+  /// Mutable so a consumer can refine the selection in place.
+  SelVec* mutable_selection() { return &sel_; }
+  /// The open chunk's reader for scanned column `col`.
+  const PageReader& reader(size_t col) const { return readers_[col]; }
   /// Seconds spent decoding and selecting since construction.
   double decompress_seconds() const { return decompress_seconds_; }
 

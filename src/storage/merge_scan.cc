@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "storage/chunk_cursor.h"
 #include "storage/storage_metrics.h"
 
 namespace scc {
@@ -101,8 +102,8 @@ Result<Table> Checkpoint(const Table& base, const DeltaStore& delta,
   for (size_t c = 0; c < base.column_count(); c++) {
     const StoredColumn* col = base.column(c);
     // Decompress the base column, drop deletes, append inserts, rebuild.
-    TableScanOp scan(&base, bm, {col->name});
-    Batch b;
+    // An unreadable or corrupt page comes back as the cursor's Status.
+    ChunkCursor cursor(&base, bm, {col});
     Status st = Status::OK();
     DispatchType(col->type, [&](auto tag) {
       using T = decltype(tag);
@@ -110,12 +111,17 @@ Result<Table> Checkpoint(const Table& base, const DeltaStore& delta,
         std::vector<T> values;
         values.reserve(base.rows() + delta.insert_count());
         uint64_t row = 0;
-        while (size_t n = scan.Next(&b)) {
-          const T* src = b.col(0)->template data<T>();
-          for (size_t i = 0; i < n; i++, row++) {
-            if (!delta.IsDeleted(row)) values.push_back(src[i]);
+        for (size_t chunk = 0; chunk < base.chunk_count() && st.ok();
+             chunk++) {
+          st = cursor.Open(chunk);
+          while (size_t n = cursor.Next()) {
+            const T* src = cursor.batch().col(0)->template data<T>();
+            for (size_t i = 0; i < n; i++, row++) {
+              if (!delta.IsDeleted(row)) values.push_back(src[i]);
+            }
           }
         }
+        if (!st.ok()) return 0;
         for (int64_t v : delta.inserted(c)) values.push_back(T(v));
         st = merged.AddColumn<T>(col->name, values, mode);
       } else {

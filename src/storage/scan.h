@@ -1,7 +1,6 @@
 #ifndef SCC_STORAGE_SCAN_H_
 #define SCC_STORAGE_SCAN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,12 @@
 //                 whole chunk is decompressed into a RAM-resident page,
 //                 and vectors are then copied out of it — three trips of
 //                 the data through the CPU cache instead of one.
+//
+// Both modes run over one ChunkCursor (storage/chunk_cursor.h): Next()
+// opens the next chunk once the open one is exhausted, which pins and
+// validates each column page once, and releases the last chunk's pins
+// before it returns 0. kPageWise decodes its RAM image from the cursor's
+// open readers.
 //
 // The scan accounts decompression time separately so the TPC-H harness
 // can decompose query time as in Figure 8.
@@ -60,39 +65,33 @@ class TableScanOp : public Operator {
 
   /// Selection over the batch emitted by the last Next(); meaningful only
   /// with pushdown configured. Mutable so consumers can refine in place.
-  SelVec* mutable_selection() { return &sel_; }
-  const SelVec& selection() const { return sel_; }
-  bool pushdown_enabled() const { return pushdown_col_ >= 0; }
+  SelVec* mutable_selection() { return cursor_.mutable_selection(); }
+  const SelVec& selection() const { return cursor_.selection(); }
 
  private:
-  struct ColState {
-    const StoredColumn* col;
-    std::unique_ptr<Vector> out;
-    PageReader reader;
-    // kPageWise: decompressed chunk image and which chunk it holds.
-    AlignedBuffer page;
-    size_t page_chunk = SIZE_MAX;
-  };
-
-  /// Fetches `cs`'s page of chunk `chunk_idx` and opens its reader. Runs
-  /// once per vector: the unpinned Fetch is valid only until the next.
-  Status OpenPage(ColState& cs, size_t chunk_idx);
-  // One vector of every column into its ColState::out, or the error of
-  // the first page that cannot be read or fails validation.
-  Status DecodeVectorWise(size_t chunk_idx, size_t offset_in_chunk, size_t n);
-  Status DecodePageWise(size_t chunk_idx, size_t offset_in_chunk, size_t n);
+  /// Pins and validates chunk `chunk`'s pages; kPageWise also decodes
+  /// them whole into pages_.
+  Status OpenChunk(size_t chunk);
+  /// kPageWise: copies the open chunk's next vector out of pages_ into
+  /// vectors_; 0 once the chunk is exhausted.
+  size_t CopyPageVector();
 
   const Table* table_;
-  BufferManager* bm_;
   Mode mode_;
+  std::vector<const StoredColumn*> cols_;
   std::vector<TypeId> types_;
-  std::vector<ColState> cols_;
-  size_t pos_ = 0;
+  ChunkCursor cursor_;
+  size_t next_chunk_ = 0;
   double decompress_seconds_ = 0;
   int pushdown_col_ = -1;
   int64_t pushdown_lo_ = 0;
   int64_t pushdown_hi_ = 0;
-  SelVec sel_;
+  // kPageWise: the open chunk decompressed into RAM, one image per
+  // column, and the vectors copied out of it.
+  std::vector<AlignedBuffer> pages_;
+  std::vector<Vector> vectors_;
+  size_t page_rows_ = 0;
+  size_t page_pos_ = 0;
 };
 
 }  // namespace scc

@@ -1,11 +1,12 @@
 #include "tpch/queries.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <string>
+#include <vector>
 
 #include "engine/hash_table.h"
 #include "engine/primitives.h"
+#include "exec/parallel_scan.h"
 #include "sys/telemetry.h"
 #include "sys/timer.h"
 
@@ -51,6 +52,29 @@ const char* QuerySpanName(int q) {
     case 21: return "tpch.q21";
     default: return "tpch.q_other";
   }
+}
+
+/// Runs one plan under `span_name` and books it: wall time, the simulated
+/// I/O the buffer manager's disk charged meanwhile, and the tpch.*
+/// counters. Serial and parallel runs share it.
+template <typename Plan>
+QueryStats Measure(int q, const char* span_name, BufferManager* bm,
+                   Plan&& plan) {
+  TraceSpan span(span_name, "tpch");
+  const double io0 = bm->disk()->io_seconds();
+  const size_t bytes0 = bm->disk()->bytes_read();
+  Timer timer;
+  QueryStats s = plan();
+  s.query = q;
+  s.cpu_seconds = timer.ElapsedSeconds();
+  s.io_seconds = bm->disk()->io_seconds() - io0;
+  s.bytes_read = bm->disk()->bytes_read() - bytes0;
+  TpchMetrics& tm = TpchMetrics::Get();
+  tm.queries->Increment();
+  tm.result_rows->Add(s.result_rows);
+  tm.cpu_nanos->Add(uint64_t(s.cpu_seconds * 1e9));
+  tm.io_nanos->Add(uint64_t(s.io_seconds * 1e9));
+  return s;
 }
 
 // Nation codes used by the parameterized queries (dbgen assigns fixed
@@ -101,31 +125,37 @@ std::vector<int64_t> LoadColumn(const Table& t, BufferManager* bm,
 }
 
 // ---------------------------------------------------------------------------
-// Q1: pricing summary report
+// Q1 (pricing summary report) and Q6 (forecasting revenue change): the
+// pure lineitem scans
 // ---------------------------------------------------------------------------
+//
+// Each is written once as an aggregate: Fold consumes one vector, Merge
+// adds another slot's partial, Finalize digests the result. All
+// aggregates are integer sums, so merge order cannot change a bit of the
+// checksum, and the serial and morsel-parallel plans below agree exactly
+// (tpch_test pins this down). Fold's `sel` is the scan's selection: Q6
+// pushes its shipdate range into the scan and refines that selection in
+// place; Q1 pushes nothing down and overwrites it with its own.
 
-QueryStats Q1(const TpchDatabase& db, BufferManager* bm,
-              TableScanOp::Mode mode) {
-  QueryStats s;
-  TableScanOp scan(&db.lineitem, bm,
-                   {"l_shipdate", "l_returnflag", "l_linestatus",
-                    "l_quantity", "l_extendedprice", "l_discount", "l_tax"},
-                   mode);
-  const int32_t cutoff = TpchDate(1998, 9, 2);
-  int64_t sum_qty[8] = {0}, sum_base[8] = {0}, sum_disc_price[8] = {0},
-          sum_charge[8] = {0}, sum_disc[8] = {0}, count[8] = {0};
-  Batch b;
-  SelVec sel;
-  while (size_t n = scan.Next(&b)) {
-    SelectLE(b.col(0)->data<int32_t>(), n, cutoff, &sel);
+// alignas: parallel slots' partials never false-share a cache line.
+struct alignas(64) Q1Agg {
+  static std::vector<std::string> Columns() {
+    return {"l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
+            "l_extendedprice", "l_discount", "l_tax"};
+  }
+  template <typename Scan>
+  static void Pushdown(Scan*) {}
+
+  void Fold(const Batch& b, SelVec* sel) {
+    SelectLE(b.col(0)->data<int32_t>(), b.rows, cutoff, sel);
     const int8_t* rf = b.col(1)->data<int8_t>();
     const int8_t* ls = b.col(2)->data<int8_t>();
     const int8_t* qty = b.col(3)->data<int8_t>();
     const int64_t* ep = b.col(4)->data<int64_t>();
     const int8_t* dc = b.col(5)->data<int8_t>();
     const int8_t* tx = b.col(6)->data<int8_t>();
-    for (size_t k = 0; k < sel.count; k++) {
-      const uint32_t i = sel.idx[k];
+    for (size_t k = 0; k < sel->count; k++) {
+      const uint32_t i = sel->idx[k];
       const int g = rf[i] * 2 + ls[i];
       const int64_t disc_price = ep[i] * (100 - dc[i]);
       sum_qty[g] += qty[i];
@@ -136,17 +166,110 @@ QueryStats Q1(const TpchDatabase& db, BufferManager* bm,
       count[g]++;
     }
   }
-  for (int g = 0; g < 8; g++) {
-    if (count[g] == 0) continue;
-    s.result_rows++;
-    Mix(&s.checksum, uint64_t(g));
-    Mix(&s.checksum, uint64_t(sum_qty[g]));
-    Mix(&s.checksum, uint64_t(sum_base[g]));
-    Mix(&s.checksum, uint64_t(sum_disc_price[g]));
-    Mix(&s.checksum, uint64_t(sum_charge[g]));
-    Mix(&s.checksum, uint64_t(sum_disc[g]));
-    Mix(&s.checksum, uint64_t(count[g]));
+  void Merge(const Q1Agg& p) {
+    for (int g = 0; g < 8; g++) {
+      sum_qty[g] += p.sum_qty[g];
+      sum_base[g] += p.sum_base[g];
+      sum_disc_price[g] += p.sum_disc_price[g];
+      sum_charge[g] += p.sum_charge[g];
+      sum_disc[g] += p.sum_disc[g];
+      count[g] += p.count[g];
+    }
   }
+  void Finalize(QueryStats* s) const {
+    for (int g = 0; g < 8; g++) {
+      if (count[g] == 0) continue;
+      s->result_rows++;
+      Mix(&s->checksum, uint64_t(g));
+      Mix(&s->checksum, uint64_t(sum_qty[g]));
+      Mix(&s->checksum, uint64_t(sum_base[g]));
+      Mix(&s->checksum, uint64_t(sum_disc_price[g]));
+      Mix(&s->checksum, uint64_t(sum_charge[g]));
+      Mix(&s->checksum, uint64_t(sum_disc[g]));
+      Mix(&s->checksum, uint64_t(count[g]));
+    }
+  }
+
+  int32_t cutoff = TpchDate(1998, 9, 2);
+  int64_t sum_qty[8] = {0}, sum_base[8] = {0}, sum_disc_price[8] = {0},
+          sum_charge[8] = {0}, sum_disc[8] = {0}, count[8] = {0};
+};
+
+struct alignas(64) Q6Agg {
+  static std::vector<std::string> Columns() {
+    return {"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"};
+  }
+  /// The shipdate range runs inside the scan: selection straight off the
+  /// packed codes, min/max-disqualified groups never decoded, the other
+  /// columns decoded group-sparse.
+  template <typename Scan>
+  static void Pushdown(Scan* scan) {
+    scan->SetPushdownBetween("l_shipdate", TpchDate(1994, 1, 1),
+                             TpchDate(1995, 1, 1) - 1);
+  }
+
+  // The refinements only touch selected indices, so the batch contract
+  // under pushdown (data valid at selected indices) is respected.
+  void Fold(const Batch& b, SelVec* sel) {
+    RefineIf(b.col(1)->data<int8_t>(), sel,
+             [](int8_t d) { return d >= 5 && d <= 7; });
+    RefineIf(b.col(2)->data<int8_t>(), sel,
+             [](int8_t q) { return q < 24; });
+    const int64_t* ep = b.col(3)->data<int64_t>();
+    const int8_t* dc = b.col(1)->data<int8_t>();
+    int64_t sum = 0;
+    for (size_t k = 0; k < sel->count; k++) {
+      const uint32_t i = sel->idx[k];
+      sum += ep[i] * dc[i];
+    }
+    revenue += sum;
+  }
+  void Merge(const Q6Agg& p) { revenue += p.revenue; }
+  void Finalize(QueryStats* s) const {
+    s->result_rows = 1;
+    Mix(&s->checksum, uint64_t(revenue));
+  }
+
+  int64_t revenue = 0;
+};
+
+template <typename Agg>
+QueryStats SerialScanPlan(const TpchDatabase& db, BufferManager* bm,
+                          TableScanOp::Mode mode) {
+  TableScanOp scan(&db.lineitem, bm, Agg::Columns(), mode);
+  Agg::Pushdown(&scan);
+  Agg agg;
+  Batch b;
+  while (scan.Next(&b)) agg.Fold(b, scan.mutable_selection());
+  QueryStats s;
+  agg.Finalize(&s);
+  s.decompress_seconds = scan.decompress_seconds();
+  return s;
+}
+
+/// Each slot folds into its own partial; the partials merge before the
+/// one finalization. A slot folds a copy of its selection, because
+/// ParallelScan's is read-only.
+template <typename Agg>
+Result<QueryStats> ParallelScanPlan(const TpchDatabase& db, BufferManager* bm,
+                                    unsigned threads) {
+  ParallelScan::Options opt;
+  opt.threads = threads;
+  ParallelScan scan(&db.lineitem, bm, Agg::Columns(), opt);
+  Agg::Pushdown(&scan);
+  std::vector<Agg> partials(scan.slot_count());
+  std::vector<SelVec> sels(scan.slot_count());
+  SCC_RETURN_NOT_OK(scan.Run([&](const Batch& b, size_t, size_t slot) {
+    const SelVec& src = scan.selection(slot);
+    SelVec& sel = sels[slot];
+    std::copy_n(src.idx, src.count, sel.idx);
+    sel.count = src.count;
+    partials[slot].Fold(b, &sel);
+  }));
+  Agg agg;
+  for (const Agg& p : partials) agg.Merge(p);
+  QueryStats s;
+  agg.Finalize(&s);
   s.decompress_seconds = scan.decompress_seconds();
   return s;
 }
@@ -372,53 +495,6 @@ QueryStats Q5(const TpchDatabase& db, BufferManager* bm,
     Mix(&s.checksum, uint64_t(nk));
     Mix(&s.checksum, uint64_t(revenue_by_nation[nk]));
   }
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Q6: forecasting revenue change
-// ---------------------------------------------------------------------------
-
-QueryStats Q6(const TpchDatabase& db, BufferManager* bm,
-              TableScanOp::Mode mode) {
-  QueryStats s;
-  TableScanOp scan(&db.lineitem, bm,
-                   {"l_shipdate", "l_discount", "l_quantity",
-                    "l_extendedprice"},
-                   mode);
-  const int32_t lo = TpchDate(1994, 1, 1);
-  const int32_t hi = TpchDate(1995, 1, 1);
-  // The shipdate range predicate runs inside the scan when pushdown is
-  // on: selection straight off the packed codes, min/max-disqualified
-  // groups never decoded, the other columns decoded group-sparse. The
-  // refinements below only touch selected indices, so the batch contract
-  // under pushdown (data valid at selected indices) is respected.
-  const bool pushdown = TpchPushdownEnabled();
-  if (pushdown) scan.SetPushdownBetween("l_shipdate", lo, hi - 1);
-  int64_t revenue = 0;
-  Batch b;
-  SelVec local_sel;
-  while (size_t n = scan.Next(&b)) {
-    SelVec* sel = &local_sel;
-    if (pushdown) {
-      sel = scan.mutable_selection();
-    } else {
-      SelectBetween(b.col(0)->data<int32_t>(), n, lo, hi - 1, sel);
-    }
-    RefineIf(b.col(1)->data<int8_t>(), sel,
-             [](int8_t d) { return d >= 5 && d <= 7; });
-    RefineIf(b.col(2)->data<int8_t>(), sel,
-             [](int8_t q) { return q < 24; });
-    const int64_t* ep = b.col(3)->data<int64_t>();
-    const int8_t* dc = b.col(1)->data<int8_t>();
-    for (size_t k = 0; k < sel->count; k++) {
-      const uint32_t i = sel->idx[k];
-      revenue += ep[i] * dc[i];
-    }
-  }
-  s.decompress_seconds = scan.decompress_seconds();
-  s.result_rows = 1;
-  Mix(&s.checksum, uint64_t(revenue));
   return s;
 }
 
@@ -950,69 +1026,46 @@ std::vector<std::pair<std::string, std::string>> QueryColumns(int query) {
   }
 }
 
-bool TpchPushdownEnabled() {
-  // Resolved once: the toggle is an experiment knob, not a runtime switch.
-  static const bool enabled = [] {
-    const char* e = getenv("SCC_PUSHDOWN");
-    return e == nullptr || strcmp(e, "0") != 0;
-  }();
-  return enabled;
-}
-
 QueryStats RunTpchQuery(int q, const TpchDatabase& db, BufferManager* bm,
                         TableScanOp::Mode mode) {
-  TraceSpan span(QuerySpanName(q), "tpch");
-  const double io0 = bm->disk()->io_seconds();
-  const size_t bytes0 = bm->disk()->bytes_read();
-  Timer timer;
-  QueryStats s;
-  switch (q) {
-    case 1:
-      s = Q1(db, bm, mode);
-      break;
-    case 3:
-      s = Q3(db, bm, mode);
-      break;
-    case 4:
-      s = Q4(db, bm, mode);
-      break;
-    case 5:
-      s = Q5(db, bm, mode);
-      break;
-    case 6:
-      s = Q6(db, bm, mode);
-      break;
-    case 7:
-      s = Q7(db, bm, mode);
-      break;
-    case 11:
-      s = Q11(db, bm, mode);
-      break;
-    case 14:
-      s = Q14(db, bm, mode);
-      break;
-    case 15:
-      s = Q15(db, bm, mode);
-      break;
-    case 18:
-      s = Q18(db, bm, mode);
-      break;
-    case 21:
-      s = Q21(db, bm, mode);
-      break;
-    default:
-      SCC_CHECK(false, "unimplemented TPC-H query");
+  return Measure(q, QuerySpanName(q), bm, [&]() -> QueryStats {
+    switch (q) {
+      case 1: return SerialScanPlan<Q1Agg>(db, bm, mode);
+      case 3: return Q3(db, bm, mode);
+      case 4: return Q4(db, bm, mode);
+      case 5: return Q5(db, bm, mode);
+      case 6: return SerialScanPlan<Q6Agg>(db, bm, mode);
+      case 7: return Q7(db, bm, mode);
+      case 11: return Q11(db, bm, mode);
+      case 14: return Q14(db, bm, mode);
+      case 15: return Q15(db, bm, mode);
+      case 18: return Q18(db, bm, mode);
+      case 21: return Q21(db, bm, mode);
+    }
+    SCC_CHECK(false, "unimplemented TPC-H query");
+    return {};
+  });
+}
+
+bool TpchQueryHasParallelPlan(int q) { return q == 1 || q == 6; }
+
+QueryStats RunTpchQueryParallel(int q, const TpchDatabase& db,
+                                BufferManager* bm, TableScanOp::Mode mode,
+                                unsigned threads) {
+  // The morsel scan decodes vector-at-a-time by construction, so a
+  // page-wise comparison run keeps the serial path.
+  if (!TpchQueryHasParallelPlan(q) || mode != TableScanOp::Mode::kVectorWise) {
+    return RunTpchQuery(q, db, bm, mode);
   }
-  s.query = q;
-  s.cpu_seconds = timer.ElapsedSeconds();
-  s.io_seconds = bm->disk()->io_seconds() - io0;
-  s.bytes_read = bm->disk()->bytes_read() - bytes0;
-  TpchMetrics& tm = TpchMetrics::Get();
-  tm.queries->Increment();
-  tm.result_rows->Add(s.result_rows);
-  tm.cpu_nanos->Add(uint64_t(s.cpu_seconds * 1e9));
-  tm.io_nanos->Add(uint64_t(s.io_seconds * 1e9));
-  return s;
+  const char* span = q == 1 ? "tpch.q1.parallel" : "tpch.q6.parallel";
+  return Measure(q, span, bm, [&] {
+    Result<QueryStats> r = q == 1 ? ParallelScanPlan<Q1Agg>(db, bm, threads)
+                                  : ParallelScanPlan<Q6Agg>(db, bm, threads);
+    // RunTpchQuery has no error channel, so an unreadable page aborts
+    // here, at the plan boundary, as it does in the serial plan's
+    // TableScanOp.
+    return r.MoveValueOrDie();
+  });
 }
 
 }  // namespace scc

@@ -75,24 +75,21 @@ QueryStats RunTpchQuery(int q, const TpchDatabase& db, BufferManager* bm,
                         TableScanOp::Mode mode);
 
 /// True when query `q` has a morsel-driven parallel plan (the pure-scan
-/// queries; the rest run serial plans regardless of `threads`).
+/// queries Q1 and Q6; the rest run serial plans regardless of `threads`).
 bool TpchQueryHasParallelPlan(int q);
-
-/// Compressed-domain selection pushdown toggle for the plans that support
-/// it (Q6, serial and parallel). Defaults on; set SCC_PUSHDOWN=0 in the
-/// environment to force the decode-then-select plans. Checksums are
-/// identical either way — pushdown changes how the selection is computed,
-/// never what it contains.
-bool TpchPushdownEnabled();
 
 /// Runs TPC-H query `q` with its scan pipeline fanned out over the shared
 /// thread pool (`threads` slots including the caller; 0 = pool size).
-/// Checksums match RunTpchQuery exactly — the partial aggregates are
-/// integer sums, merged before the serial finalization. `bm` must be
+/// Q1 and Q6 are written once: the serial and parallel plans share each
+/// query's per-vector fold and finalization, and the parallel plan folds
+/// per-slot partials that merge before the finalization. The aggregates
+/// are integer sums, so checksums match RunTpchQuery exactly. `bm` must be
 /// shared safely, which the sharded buffer manager is; cpu_seconds is
 /// wall time of the parallel region, decompress_seconds the summed
 /// per-slot decode time (so decompress may exceed cpu when slots
-/// overlap). Queries without a parallel plan fall back to RunTpchQuery.
+/// overlap). Queries without a parallel plan, and kPageWise runs, fall
+/// back to RunTpchQuery: the join-heavy queries' hash-build sides are
+/// stateful pipelines whose parallelization is a separate effort.
 QueryStats RunTpchQueryParallel(int q, const TpchDatabase& db,
                                 BufferManager* bm, TableScanOp::Mode mode,
                                 unsigned threads = 0);

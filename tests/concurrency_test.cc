@@ -7,16 +7,19 @@
 #include <gtest/gtest.h>
 
 #include "core/segment_reader.h"
+#include "exec/parallel_scan.h"
 #include "storage/buffer_manager.h"
 #include "storage/fault_injector.h"
+#include "storage/scan.h"
 #include "storage/sim_disk.h"
 #include "storage/table.h"
 #include "util/rng.h"
 
 // Concurrent buffer-manager battery: N-thread fetch/evict storms under a
 // tiny capacity, miss coalescing (one disk read per page no matter how
-// many threads fault it), pin-blocks-eviction, and the storm repeated
-// with fault injection + checksum verification on. Run under
+// many threads fault it), pin-blocks-eviction, the storm repeated with
+// fault injection + checksum verification on, and a serial scan sharing
+// the manager with parallel scans. Run under
 // ThreadSanitizer in CI; every test also asserts data integrity, so a
 // use-after-evict shows up as a value mismatch even without TSan.
 
@@ -25,19 +28,30 @@ namespace {
 
 constexpr size_t kChunkValues = 8192;
 
+struct Source {
+  std::vector<int64_t> a, b;
+  std::vector<int32_t> c;
+};
+
+Source MakeSource(size_t rows) {
+  Source s{std::vector<int64_t>(rows), std::vector<int64_t>(rows),
+           std::vector<int32_t>(rows)};
+  Rng rng(42);
+  for (size_t i = 0; i < rows; i++) {
+    s.a[i] = int64_t(i);  // monotone: row r's value IS r (integrity oracle)
+    s.b[i] = 5000 + int64_t(rng.Uniform(1000));
+    s.c[i] = int32_t(rng.Uniform(4));
+  }
+  return s;
+}
+
 Table MakeTable(size_t rows, size_t chunk_values = kChunkValues) {
   Table t(chunk_values);
-  Rng rng(42);
-  std::vector<int64_t> a(rows), b(rows);
-  std::vector<int32_t> c(rows);
-  for (size_t i = 0; i < rows; i++) {
-    a[i] = int64_t(i);  // monotone: row r's value IS r (integrity oracle)
-    b[i] = 5000 + int64_t(rng.Uniform(1000));
-    c[i] = int32_t(rng.Uniform(4));
-  }
-  SCC_CHECK(t.AddColumn<int64_t>("a", a, ColumnCompression::kAuto).ok(), "a");
-  SCC_CHECK(t.AddColumn<int64_t>("b", b, ColumnCompression::kAuto).ok(), "b");
-  SCC_CHECK(t.AddColumn<int32_t>("c", c, ColumnCompression::kAuto).ok(), "c");
+  const Source s = MakeSource(rows);
+  const ColumnCompression kAuto = ColumnCompression::kAuto;
+  SCC_CHECK(t.AddColumn<int64_t>("a", s.a, kAuto).ok(), "a");
+  SCC_CHECK(t.AddColumn<int64_t>("b", s.b, kAuto).ok(), "b");
+  SCC_CHECK(t.AddColumn<int32_t>("c", s.c, kAuto).ok(), "c");
   return t;
 }
 
@@ -274,16 +288,70 @@ TEST(ConcurrencyTest, PaxStormWithFaultsRecoversPerColumn) {
   EXPECT_GE(disk.read_count(), bm.misses());
 }
 
-TEST(ConcurrencyTest, LegacyFetchStaysValidSingleThreaded) {
-  // The unpinned Fetch contract is single-threaded only, but it must
-  // keep working (the serial query paths still use it).
-  Table t = MakeTable(4 * kChunkValues);
+TEST(ConcurrencyTest, SerialScanBesideParallelStorm) {
+  // A serial TableScanOp with pushdown shares a buffer manager of about a
+  // quarter of the table with four threads of ParallelScans. Verified
+  // reads make every page an owned copy that eviction frees, so a page
+  // decoded without its pin would read freed memory.
+  constexpr size_t kRows = 40 * kChunkValues;
+  constexpr int64_t kLo = 5100, kHi = 5400;
+  const Source src = MakeSource(kRows);
+  Table t = MakeTable(kRows);
   SimDisk disk;
-  BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM);
-  auto page = bm.Fetch(&t, t.column("a"), 1);
-  ASSERT_TRUE(page.ok());
-  VerifyChunkA(t, *page.ValueOrDie(), 1);
-  EXPECT_EQ(bm.misses(), 1u);
+  BufferManager bm(&disk, t.ByteSize() / 4, Layout::kDSM);
+  bm.SetVerifyChecksums(true);
+  size_t want = 0;
+  for (int64_t v : src.b) want += v >= kLo && v <= kHi;
+  // Any row that reads back different from its source.
+  auto wrong = [&](const Batch& b, size_t i, size_t row) {
+    return row >= kRows || b.col(0)->data<int64_t>()[i] != int64_t(row) ||
+           b.col(1)->data<int64_t>()[i] != src.b[row] ||
+           b.col(2)->data<int32_t>()[i] != src.c[row];
+  };
+
+  std::atomic<size_t> bad{0};
+  std::atomic<int> storming{4};
+  std::vector<std::thread> storm;
+  for (int id = 0; id < 4; id++) {
+    storm.emplace_back([&] {
+      for (int rep = 0; rep < 3; rep++) {
+        ParallelScan scan(&t, &bm, {"a", "b", "c"});
+        std::atomic<size_t> rows{0};
+        Status st = scan.Run([&](const Batch& b, size_t morsel, size_t) {
+          // Column a is the row oracle; its first row pins the vector.
+          const size_t row0 = size_t(b.col(0)->data<int64_t>()[0]);
+          for (size_t i = 0; i < b.rows; i++) {
+            bad += wrong(b, i, row0 + i) || row0 / kChunkValues != morsel;
+          }
+          rows += b.rows;
+        });
+        bad += !st.ok() || rows != kRows;
+      }
+      storming--;
+    });
+  }
+  // The serial scan keeps going for as long as the storm lasts.
+  for (int rep = 0; rep < 3 || storming > 0; rep++) {
+    TableScanOp scan(&t, &bm, {"a", "b", "c"});
+    scan.SetPushdownBetween("b", kLo, kHi);
+    Batch b;
+    size_t row0 = 0, selected = 0;
+    while (size_t n = scan.Next(&b)) {
+      const SelVec& sel = scan.selection();
+      for (size_t k = 0; k < sel.count; k++) {
+        const size_t row = row0 + sel.idx[k];
+        bad += wrong(b, sel.idx[k], row) || src.b[row] < kLo ||
+               src.b[row] > kHi;
+      }
+      selected += sel.count;
+      row0 += n;
+    }
+    EXPECT_EQ(row0, kRows);
+    EXPECT_EQ(selected, want);
+  }
+  for (auto& th : storm) th.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(bm.pinned_pages(), 0u);
 }
 
 }  // namespace

@@ -401,8 +401,7 @@ struct TierStormFixture {
   /// tier demotes victims to flash as it goes).
   void WarmAllChunks(BufferManager* bm) {
     for (size_t c = 0; c < col()->chunk_count(); c++) {
-      auto r = bm->Fetch(&table, col(), c);
-      SCC_CHECK(r.ok(), "warm fetch");
+      SCC_CHECK(bm->FetchPinned(&table, col(), c).ok(), "warm fetch");
     }
   }
 };
@@ -417,7 +416,7 @@ TEST(TieredFaultStorm, SsdBitFlipsSurfaceAsCorruptionAndDropTheEntry) {
   bm->ssd_disk()->AttachFaults(&inj);
   // Chunk 0 lives only on flash: every read attempt comes back flipped,
   // checksum verification rejects each retry, the fetch fails Corruption.
-  auto r = bm->Fetch(&f.table, f.col(), 0);
+  auto r = bm->FetchPinned(&f.table, f.col(), 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
       << r.status().ToString();
@@ -441,7 +440,7 @@ TEST(TieredFaultStorm, SsdIoErrorsSurfaceAsIOErrorWithoutTouchingDramResidents) 
 
   FaultInjector inj({.seed = 12, .io_error_prob = 1.0});
   bm->ssd_disk()->AttachFaults(&inj);
-  auto r = bm->Fetch(&f.table, f.col(), 0);
+  auto r = bm->FetchPinned(&f.table, f.col(), 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
 
@@ -507,7 +506,7 @@ TEST(TieredFaultStorm, ArmAfterReadsWarmsThroughAFaultedDevice) {
   // still flash-resident, so this fetch reads the armed device and fails
   // checksum verification.
   ASSERT_TRUE(bm->ssd_resident(f.col(), 0));
-  auto r = bm->Fetch(&f.table, f.col(), 0);
+  auto r = bm->FetchPinned(&f.table, f.col(), 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_GT(inj.stats().bit_flips, 0u);

@@ -1,5 +1,9 @@
 #include "storage/merge_scan.h"
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,6 +114,47 @@ TEST(DeltaStoreTest, CheckpointFoldsDeltasIn) {
   EXPECT_EQ(before.a, after.a);
   EXPECT_EQ(before.b, after.b);
   EXPECT_EQ(m.rows(), 20000 - (20000 + 6) / 7 + 500);
+}
+
+TEST(DeltaStoreTest, CheckpointReturnsCorruptPageStatus) {
+  // Chunk 2 of column "b" carries a segment header that fails validation.
+  // Checksum verification stays off, so the page reaches the decode step:
+  // Checkpoint returns Corruption naming the column and chunk, and leaves
+  // no page pinned.
+  constexpr size_t kChunk = 4096;
+  constexpr size_t kRows = 20000;
+  std::vector<int64_t> values(kRows);
+  for (size_t i = 0; i < kRows; i++) values[i] = int64_t(i);
+  Table t(kChunk);
+  ASSERT_TRUE(t.AddColumn<int64_t>("a", values, ColumnCompression::kAuto).ok());
+  auto bad = std::make_unique<StoredColumn>();
+  bad->name = "b";
+  bad->rows = kRows;
+  bad->chunk_values = kChunk;
+  bad->compressed = true;
+  for (size_t lo = 0; lo < kRows; lo += kChunk) {
+    Result<AlignedBuffer> seg = BuildColumnChunk<int64_t>(
+        std::span<const int64_t>(values).subspan(lo,
+                                                 std::min(kChunk, kRows - lo)),
+        ColumnCompression::kAuto);
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    bad->chunks.push_back(seg.MoveValueOrDie());
+  }
+  bad->chunks[2].data()[0] ^= 0xFF;  // segment magic
+  ASSERT_TRUE(t.AdoptColumn(std::move(bad)).ok());
+  DeltaStore delta({TypeId::kInt64, TypeId::kInt64});
+  delta.Delete(5);
+  SimDisk disk;
+  BufferManager bm(&disk, 1u << 30, Layout::kDSM);
+  ASSERT_FALSE(bm.verify_checksums());
+
+  auto merged = Checkpoint(t, delta, &bm, ColumnCompression::kAuto);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(merged.status().message().find("column 'b' chunk 2"),
+            std::string::npos)
+      << merged.status().ToString();
+  EXPECT_EQ(bm.pinned_pages(), 0u);
 }
 
 TEST(DeltaStoreTest, FuzzAgainstReference) {

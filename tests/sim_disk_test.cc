@@ -140,16 +140,16 @@ TEST(BufferManagerFaults, PermanentErrorFailsFetchWithoutCaching) {
   BufferManager bm(&disk, 64 << 20, Layout::kDSM);
   bm.set_max_read_retries(2);
 
-  auto page = bm.Fetch(&t, t.column("a"), 0);
+  auto page = bm.FetchPinned(&t, t.column("a"), 0);
   ASSERT_FALSE(page.ok());
   EXPECT_EQ(page.status().code(), StatusCode::kIOError);
   EXPECT_EQ(bm.io_faults(), 3u);  // initial attempt + 2 retries
   EXPECT_EQ(bm.resident_bytes(), 0u);
 
   // The failed page was not cached: clearing the faults lets the next
-  // Fetch read it intact from "disk".
+  // fetch read it intact from "disk".
   disk.AttachFaults(nullptr);
-  auto retry = bm.Fetch(&t, t.column("a"), 0);
+  auto retry = bm.FetchPinned(&t, t.column("a"), 0);
   ASSERT_TRUE(retry.ok());
   const AlignedBuffer& pristine = t.column("a")->chunks[0];
   ASSERT_EQ(retry.ValueOrDie()->size(), pristine.size());
@@ -167,7 +167,7 @@ TEST(BufferManagerFaults, ChecksumVerificationCatchesBitFlips) {
   bm.SetVerifyChecksums(true);
   bm.set_max_read_retries(1);
 
-  auto page = bm.Fetch(&t, t.column("a"), 0);
+  auto page = bm.FetchPinned(&t, t.column("a"), 0);
   ASSERT_FALSE(page.ok());
   EXPECT_EQ(page.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(bm.io_faults(), 2u);
@@ -184,11 +184,11 @@ TEST(BufferManagerFaults, VerifiedCleanReadsServeOwnedCopies) {
   BufferManager bm(&disk, 64 << 20, Layout::kDSM);
   bm.SetVerifyChecksums(true);
 
-  auto page = bm.Fetch(&t, t.column("a"), 0);
+  auto page = bm.FetchPinned(&t, t.column("a"), 0);
   ASSERT_TRUE(page.ok());
   const AlignedBuffer& pristine = t.column("a")->chunks[0];
   // Guarded reads serve an owned, verified copy, not the pristine memory.
-  EXPECT_NE(page.ValueOrDie(), &pristine);
+  EXPECT_NE(page.ValueOrDie().page(), &pristine);
   ASSERT_EQ(page.ValueOrDie()->size(), pristine.size());
   EXPECT_EQ(std::memcmp(page.ValueOrDie()->data(), pristine.data(),
                         pristine.size()),
@@ -196,9 +196,9 @@ TEST(BufferManagerFaults, VerifiedCleanReadsServeOwnedCopies) {
   EXPECT_EQ(bm.io_faults(), 0u);
 
   // Hits keep serving the same owned page.
-  auto again = bm.Fetch(&t, t.column("a"), 0);
+  auto again = bm.FetchPinned(&t, t.column("a"), 0);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.ValueOrDie(), page.ValueOrDie());
+  EXPECT_EQ(again.ValueOrDie().page(), page.ValueOrDie().page());
   EXPECT_EQ(bm.hits(), 1u);
 }
 
@@ -232,8 +232,7 @@ TEST(BufferManagerFaults, RetrySucceedsWhenFaultsAreTransient) {
     }
     expected_faults++;
   }
-  auto page = bm.Fetch(&t, t.column("a"), 0);
-  EXPECT_EQ(page.ok(), expected_ok);
+  EXPECT_EQ(bm.FetchPinned(&t, t.column("a"), 0).ok(), expected_ok);
   EXPECT_EQ(bm.io_faults(), expected_faults);
 }
 
@@ -243,10 +242,10 @@ TEST(BufferManagerFaults, EvictionStillWorksWithOwnedPages) {
   BufferManager bm(&disk, t.column("a")->chunks[0].size() + 1, Layout::kDSM);
   bm.SetVerifyChecksums(true);
 
-  ASSERT_TRUE(bm.Fetch(&t, t.column("a"), 0).ok());
-  ASSERT_TRUE(bm.Fetch(&t, t.column("a"), 1).ok());  // evicts chunk 0
+  ASSERT_TRUE(bm.FetchPinned(&t, t.column("a"), 0).ok());
+  ASSERT_TRUE(bm.FetchPinned(&t, t.column("a"), 1).ok());  // evicts chunk 0
   EXPECT_GE(bm.evictions(), 1u);
-  ASSERT_TRUE(bm.Fetch(&t, t.column("a"), 0).ok());  // miss, re-read
+  ASSERT_TRUE(bm.FetchPinned(&t, t.column("a"), 0).ok());  // miss, re-read
   EXPECT_EQ(bm.hits(), 0u);
   EXPECT_EQ(bm.misses(), 3u);
 }
@@ -283,7 +282,7 @@ TEST(BufferManagerFaults, EveryRetryChargesTheLatencyModel) {
   BufferManager bm(&disk, 64 << 20, Layout::kDSM);
   bm.set_max_read_retries(2);
 
-  ASSERT_FALSE(bm.Fetch(&t, t.column("a"), 0).ok());
+  ASSERT_FALSE(bm.FetchPinned(&t, t.column("a"), 0).ok());
   EXPECT_EQ(disk.read_count(), 3u);
   EXPECT_EQ(bm.io_faults(), 3u);
   EXPECT_NEAR(disk.io_seconds(),
@@ -312,7 +311,7 @@ TEST(BufferManagerFaults, CoalescedWaiterRetriesAreChargedAndCounted) {
   std::atomic<int> ok_count{0};
   for (int i = 0; i < kThreads; i++) {
     threads.emplace_back([&] {
-      if (bm.Fetch(&t, t.column("a"), 0).ok()) ok_count.fetch_add(1);
+      if (bm.FetchPinned(&t, t.column("a"), 0).ok()) ok_count.fetch_add(1);
     });
   }
   for (auto& th : threads) th.join();
@@ -345,7 +344,7 @@ TEST(BufferManagerFaults, WritebackIoIsChargedOnTheSsdDevice) {
   BufferManager bm(&disk, col->chunks[0].size() + 1, Layout::kDSM, tc);
 
   for (size_t c = 0; c < col->chunk_count(); c++) {
-    ASSERT_TRUE(bm.Fetch(&t, col, c).ok());
+    ASSERT_TRUE(bm.FetchPinned(&t, col, c).ok());
   }
   const size_t writes = bm.ssd_disk()->write_count();
   ASSERT_GT(writes, 0u);
@@ -382,8 +381,8 @@ TEST(BufferManagerFaults, CampaignIsDeterministicEndToEnd) {
     bm.set_max_read_retries(1);
     for (int round = 0; round < 10; round++) {
       for (size_t c = 0; c < t.chunk_count(); c++) {
-        outcomes->push_back(bm.Fetch(&t, t.column("a"), c).ok());
-        outcomes->push_back(bm.Fetch(&t, t.column("b"), c).ok());
+        outcomes->push_back(bm.FetchPinned(&t, t.column("a"), c).ok());
+        outcomes->push_back(bm.FetchPinned(&t, t.column("b"), c).ok());
       }
       bm.Clear();  // force every round back to "disk"
     }

@@ -70,10 +70,10 @@ TEST(BufferManagerTest, DsmChargesOnlyTouchedColumns) {
   Table t = MakeTable(50000, ColumnCompression::kAuto, 8192);
   SimDisk disk;
   BufferManager bm(&disk, 1u << 30, Layout::kDSM);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(disk.bytes_read(), t.column("a")->chunks[0].size());
   // Second fetch hits the cache: no more I/O.
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(disk.read_count(), 1u);
   EXPECT_EQ(bm.hits(), 1u);
 }
@@ -82,11 +82,11 @@ TEST(BufferManagerTest, PaxChargesWholeRowGroup) {
   Table t = MakeTable(50000, ColumnCompression::kAuto, 8192);
   SimDisk disk;
   BufferManager bm(&disk, 1u << 30, Layout::kPAX);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(disk.bytes_read(), t.RowGroupBytes(0));
   // Other columns of the same row group are now resident.
-  bm.Fetch(&t, t.column("b"), 0);
-  bm.Fetch(&t, t.column("c"), 0);
+  bm.FetchPinned(&t, t.column("b"), 0);
+  bm.FetchPinned(&t, t.column("c"), 0);
   EXPECT_EQ(disk.read_count(), 1u);
   EXPECT_EQ(bm.hits(), 2u);
 }
@@ -97,10 +97,10 @@ TEST(BufferManagerTest, LruEvictsUnderPressure) {
   SimDisk disk;
   // Room for only ~2 chunks.
   BufferManager bm(&disk, one_chunk * 2 + 100, Layout::kDSM);
-  bm.Fetch(&t, t.column("a"), 0);
-  bm.Fetch(&t, t.column("a"), 1);
-  bm.Fetch(&t, t.column("a"), 2);  // evicts chunk 0
-  bm.Fetch(&t, t.column("a"), 0);  // miss again
+  bm.FetchPinned(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 1);
+  bm.FetchPinned(&t, t.column("a"), 2);  // evicts chunk 0
+  bm.FetchPinned(&t, t.column("a"), 0);  // miss again
   EXPECT_EQ(disk.read_count(), 4u);
   EXPECT_LE(bm.resident_bytes(), one_chunk * 2 + 100);
 }
@@ -110,11 +110,11 @@ TEST(BufferManagerTest, CountsEvictionsAndBytes) {
   size_t one_chunk = t.column("a")->chunks[0].size();
   SimDisk disk;
   BufferManager bm(&disk, one_chunk * 2 + 100, Layout::kDSM);
-  bm.Fetch(&t, t.column("a"), 0);
-  bm.Fetch(&t, t.column("a"), 1);
+  bm.FetchPinned(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 1);
   EXPECT_EQ(bm.evictions(), 0u);
-  bm.Fetch(&t, t.column("a"), 2);  // evicts chunk 0
-  bm.Fetch(&t, t.column("a"), 3);  // evicts chunk 1
+  bm.FetchPinned(&t, t.column("a"), 2);  // evicts chunk 0
+  bm.FetchPinned(&t, t.column("a"), 3);  // evicts chunk 1
   EXPECT_EQ(bm.evictions(), 2u);
   EXPECT_EQ(bm.evicted_bytes(), 2 * one_chunk);
   // bytes_read counts every miss, including re-reads after eviction.
@@ -127,11 +127,11 @@ TEST(BufferManagerTest, PaxEvictionAccounting) {
   SimDisk disk;
   // Capacity for exactly one full row group.
   BufferManager bm(&disk, t.RowGroupBytes(0), Layout::kPAX);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   size_t resident0 = bm.resident_bytes();
   EXPECT_EQ(resident0, t.RowGroupBytes(0));
   // Fetching a different row group must push out the first one's columns.
-  bm.Fetch(&t, t.column("a"), 1);
+  bm.FetchPinned(&t, t.column("a"), 1);
   EXPECT_EQ(bm.evictions(), t.column_count());
   EXPECT_EQ(bm.evicted_bytes(), resident0);
   EXPECT_EQ(bm.bytes_read(), t.RowGroupBytes(0) + t.RowGroupBytes(1));
@@ -144,14 +144,13 @@ TEST(BufferManagerTest, ItemLargerThanCapacityIsStillAdmitted) {
   // Capacity below a single chunk: the manager overcommits rather than
   // refuse service, holding at most that one oversized item.
   BufferManager bm(&disk, one_chunk / 2, Layout::kDSM);
-  const AlignedBuffer* seg = bm.Fetch(&t, t.column("a"), 0).ValueOrDie();
-  ASSERT_NE(seg, nullptr);
+  ASSERT_NE(bm.FetchPinned(&t, t.column("a"), 0).ValueOrDie().page(), nullptr);
   EXPECT_EQ(bm.resident_bytes(), one_chunk);  // over capacity by design
   // It stays cached until the next insert under pressure...
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(bm.hits(), 1u);
   // ...then becomes the first victim.
-  bm.Fetch(&t, t.column("a"), 1);
+  bm.FetchPinned(&t, t.column("a"), 1);
   EXPECT_EQ(bm.evictions(), 1u);
   EXPECT_EQ(bm.evicted_bytes(), one_chunk);
   EXPECT_EQ(bm.resident_bytes(), one_chunk);  // only the new chunk
@@ -161,8 +160,8 @@ TEST(BufferManagerTest, ClearKeepsStatsResetStatsKeepsCache) {
   Table t = MakeTable(50000, ColumnCompression::kNone, 8192);
   SimDisk disk;
   BufferManager bm(&disk, 1u << 30, Layout::kDSM);
-  bm.Fetch(&t, t.column("a"), 0);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(bm.hits(), 1u);
   EXPECT_EQ(bm.misses(), 1u);
 
@@ -171,7 +170,7 @@ TEST(BufferManagerTest, ClearKeepsStatsResetStatsKeepsCache) {
   EXPECT_EQ(bm.resident_bytes(), 0u);
   EXPECT_EQ(bm.hits(), 1u);
   EXPECT_EQ(bm.misses(), 1u);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(bm.misses(), 2u);  // cold again
 
   // ResetStats() = fresh measurement window: counters zeroed, cache warm.
@@ -180,7 +179,7 @@ TEST(BufferManagerTest, ClearKeepsStatsResetStatsKeepsCache) {
   EXPECT_EQ(bm.misses(), 0u);
   EXPECT_EQ(bm.bytes_read(), 0u);
   EXPECT_GT(bm.resident_bytes(), 0u);
-  bm.Fetch(&t, t.column("a"), 0);
+  bm.FetchPinned(&t, t.column("a"), 0);
   EXPECT_EQ(bm.hits(), 1u);  // still resident: no disk I/O
   EXPECT_EQ(bm.misses(), 0u);
 }
@@ -274,6 +273,69 @@ TEST(ScanTest, ScanPipesIntoAggregation) {
   }
   EXPECT_EQ(total_count, int64_t(rows));
   EXPECT_EQ(total_sum, int64_t(rows) * (rows - 1) / 2);
+}
+
+constexpr TableScanOp::Mode kModes[] = {TableScanOp::Mode::kVectorWise,
+                                        TableScanOp::Mode::kPageWise};
+
+TEST(ScanTest, PinsTheOpenChunkOnly) {
+  // The scan pins one page per scanned column while a chunk is open, and
+  // none once Next() returns 0, after Reset(), or after destruction.
+  Table t = MakeTable(3 * 8192 + 100, ColumnCompression::kAuto, 8192);
+  for (TableScanOp::Mode mode : kModes) {
+    for (bool pushdown : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "page-wise "
+                                      << (mode == TableScanOp::Mode::kPageWise)
+                                      << " pushdown " << pushdown);
+      SimDisk disk;
+      BufferManager bm(&disk, 1u << 30, Layout::kDSM);
+      {
+        TableScanOp scan(&t, &bm, {"a", "b", "c"}, mode);
+        if (pushdown) scan.SetPushdownBetween("b", 5100, 5400);
+        Batch b;
+        size_t vectors = 0;
+        while (scan.Next(&b)) {
+          vectors++;
+          ASSERT_EQ(bm.pinned_pages(), 3u) << "vector " << vectors;
+        }
+        EXPECT_EQ(vectors, 25u);
+        EXPECT_EQ(bm.pinned_pages(), 0u);
+        EXPECT_EQ(scan.Next(&b), 0u);
+        EXPECT_EQ(bm.pinned_pages(), 0u);
+
+        scan.Reset();
+        ASSERT_GT(scan.Next(&b), 0u);
+        EXPECT_EQ(bm.pinned_pages(), 3u);
+        scan.Reset();
+        EXPECT_EQ(bm.pinned_pages(), 0u);
+        ASSERT_GT(scan.Next(&b), 0u);  // destroyed mid-chunk
+      }
+      EXPECT_EQ(bm.pinned_pages(), 0u);
+    }
+  }
+}
+
+TEST(ScanTest, FetchesEachColumnPageOnce) {
+  // 8 chunks x 3 columns: one buffer-manager fetch per page, whatever the
+  // mode, and pushdown does not fetch the filter column twice.
+  Table t = MakeTable(8 * 16384, ColumnCompression::kAuto, 16384);
+  for (TableScanOp::Mode mode : kModes) {
+    for (bool pushdown : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "page-wise "
+                                      << (mode == TableScanOp::Mode::kPageWise)
+                                      << " pushdown " << pushdown);
+      SimDisk disk;
+      BufferManager bm(&disk, 1u << 30, Layout::kDSM);
+      TableScanOp scan(&t, &bm, {"a", "b", "c"}, mode);
+      if (pushdown) scan.SetPushdownBetween("b", 5100, 5400);
+      Batch b;
+      size_t rows = 0;
+      while (size_t n = scan.Next(&b)) rows += n;
+      EXPECT_EQ(rows, t.rows());
+      EXPECT_EQ(bm.hits() + bm.misses() + bm.coalesced_misses(), 24u);
+      EXPECT_EQ(bm.misses(), 24u);
+    }
+  }
 }
 
 }  // namespace

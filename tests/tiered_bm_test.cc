@@ -269,7 +269,7 @@ TEST(TieredBM, PinnedPagesAreNeverDemoted) {
   // eviction (and demotion) pressure, but never on the pinned page.
   for (int pass = 0; pass < 2; pass++) {
     for (size_t c = 1; c < col->chunk_count(); c++) {
-      ASSERT_TRUE(bm.Fetch(&d.t, col, c).ok());
+      ASSERT_TRUE(bm.FetchPinned(&d.t, col, c).ok());
     }
   }
   EXPECT_GT(bm.evictions(), 0u);
@@ -283,7 +283,7 @@ TEST(TieredBM, PinnedPagesAreNeverDemoted) {
   // demotes it like any other.
   pinned.ValueOrDie().Release();
   for (size_t c = 1; c < col->chunk_count(); c++) {
-    ASSERT_TRUE(bm.Fetch(&d.t, col, c).ok());
+    ASSERT_TRUE(bm.FetchPinned(&d.t, col, c).ok());
   }
   EXPECT_TRUE(bm.ssd_resident(col, 0));
 }
@@ -300,7 +300,7 @@ TEST(TieredBM, SsdTierServesRefaultsWithoutColdIO) {
   // Pass 1: every chunk faults cold; the ~1.5-chunk DRAM tier demotes
   // each victim to flash on eviction.
   for (size_t c = 0; c < col->chunk_count(); c++) {
-    ASSERT_TRUE(bm.Fetch(&d.t, col, c).ok());
+    ASSERT_TRUE(bm.FetchPinned(&d.t, col, c).ok());
   }
   const size_t cold_reads_after_pass1 = disk.read_count();
   EXPECT_EQ(cold_reads_after_pass1, col->chunk_count());
@@ -310,7 +310,7 @@ TEST(TieredBM, SsdTierServesRefaultsWithoutColdIO) {
   // cold device never sees another read.
   const size_t ssd_reads_before = bm.ssd_disk()->read_count();
   for (size_t c = 0; c < col->chunk_count(); c++) {
-    ASSERT_TRUE(bm.Fetch(&d.t, col, c).ok());
+    ASSERT_TRUE(bm.FetchPinned(&d.t, col, c).ok());
   }
   EXPECT_EQ(disk.read_count(), cold_reads_after_pass1);
   EXPECT_GT(bm.ssd_disk()->read_count(), ssd_reads_before);
