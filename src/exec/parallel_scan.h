@@ -100,6 +100,10 @@ class ParallelScan {
   const SelVec& selection(size_t slot) const {
     return cursors_[slot].selection();
   }
+  /// Mutable so the visitor can refine its slot's selection in place.
+  SelVec* mutable_selection(size_t slot) {
+    return cursors_[slot].mutable_selection();
+  }
 
   /// Parallel slots handed to the visitor; size per-slot partials to this.
   /// (Worker threads + the participating caller, capped by

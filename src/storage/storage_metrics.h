@@ -9,34 +9,35 @@
 // codec_metrics.h for the caching rationale).
 //
 // Metric names:
-//   storage.bm.hits / misses            buffer-manager cache outcomes.
-//                                       Every page fetch counts exactly
-//                                       once: hits + misses +
-//                                       coalesced_misses == fetches
-//   storage.bm.evictions                LRU victims dropped
-//   storage.bm.evicted_bytes            bytes those victims held
+//   storage.bm.evicted_bytes            bytes the DRAM tier's LRU victims
+//                                       held (their count is
+//                                       storage.tier.dram.evictions)
 //   storage.bm.bytes_read               bytes charged to the (sim) disk
 //   storage.bm.coalesced_misses         misses that joined another thread's
 //                                       in-flight read (no disk charge),
 //                                       counted when the waiter pins the
-//                                       leader's page; never also a hit
+//                                       leader's page; never also a hit.
+//                                       Every page fetch counts exactly
+//                                       once: storage.tier.dram.hits +
+//                                       storage.tier.dram.misses +
+//                                       coalesced_misses == fetches
 //   storage.bm.coalesced_wait_ns        hist: time followers spent blocked
 //                                       on the leader's in-flight read
 //   storage.bm.eviction.age             hist: LRU-clock ticks between a
 //                                       victim's last touch and its
 //                                       eviction (small = churn: pages
 //                                       recycled almost immediately)
-//   storage.bm.shard.<i>.hits/.misses   per-shard cache outcomes, for
+//   storage.bm.shard.<i>.hits/.misses   per-shard DRAM outcomes, for
 //                                       spotting skewed stripes
-//   storage.bm.resident_bytes           gauge: current cached bytes
 //   storage.io_faults                   failed page-read attempts (injected
 //                                       I/O errors, truncations, CRC fails)
 //   storage.tier.<t>.hits / misses      per-tier outcomes for t in
 //                                       {hot, dram, ssd}; hot counts
 //                                       decoded-group lookups (ReadValue),
-//                                       dram mirrors storage.bm.hits/misses,
-//                                       ssd counts compressed page reads
-//                                       served from / missing the flash tier
+//                                       dram counts page fetches (coalesced
+//                                       waiters are in neither), ssd counts
+//                                       compressed page reads served from /
+//                                       missing the flash tier
 //   storage.tier.<t>.promotions         entries admitted into the tier from
 //                                       below (hot: groups decoded in; dram:
 //                                       pages faulted in; ssd: pages demoted
@@ -45,7 +46,9 @@
 //                                       eviction (dram only: compressed page
 //                                       written to the SSD tier; hot and ssd
 //                                       entries are clean and just dropped)
-//   storage.tier.<t>.writeback_failures torn/oversized writebacks dropped
+//   storage.tier.<t>.writeback_failures writebacks that did not land: torn,
+//                                       oversized, or raced by another
+//                                       thread's demotion of the same page
 //   storage.tier.<t>.evictions          entries dropped from the tier
 //   storage.tier.<t>.resident_bytes     gauge: bytes resident per tier
 //   storage.tier.<t>.fault_ns           hist: per-fault latency filling the
@@ -63,6 +66,10 @@
 //   storage.load.nanos                  wall time inside BulkLoadColumn
 //   storage.load.skipped_columns        .tbl columns dropped by the loader
 //                                       (non-numeric: dates, strings)
+//
+// Each tier's storage.tier.<t>.* handles are owned by its TierCache
+// (tier_cache.h), which counts every event there and in the manager's
+// tier_stats() with one call; hot and ssd stay zero while unconfigured.
 
 namespace scc {
 
@@ -72,14 +79,11 @@ namespace scc {
 constexpr size_t kBmMetricShards = 16;
 
 /// Cache tiers instrumented by the buffer manager, hottest first; indexes
-/// the storage.tier.* handle arrays (and BufferManager::CacheTier mirrors
-/// it — static_assert'd in buffer_manager.h).
+/// the storage.tier.* handle arrays (and CacheTier mirrors it —
+/// static_assert'd in tier_cache.h).
 constexpr size_t kBmTiers = 3;
 
 struct StorageMetrics {
-  Counter* bm_hits;
-  Counter* bm_misses;
-  Counter* bm_evictions;
   Counter* bm_evicted_bytes;
   Counter* bm_bytes_read;
   Counter* bm_coalesced_misses;
@@ -88,7 +92,6 @@ struct StorageMetrics {
   Counter* bm_shard_hits[kBmMetricShards];
   Counter* bm_shard_misses[kBmMetricShards];
   Counter* io_faults;
-  Gauge* bm_resident_bytes;
   Counter* tier_hits[kBmTiers];
   Counter* tier_misses[kBmTiers];
   Counter* tier_promotions[kBmTiers];
@@ -114,9 +117,6 @@ struct StorageMetrics {
     static StorageMetrics* m = [] {
       auto* sm = new StorageMetrics;
       MetricsRegistry& reg = MetricsRegistry::Instance();
-      sm->bm_hits = &reg.GetCounter("storage.bm.hits");
-      sm->bm_misses = &reg.GetCounter("storage.bm.misses");
-      sm->bm_evictions = &reg.GetCounter("storage.bm.evictions");
       sm->bm_evicted_bytes = &reg.GetCounter("storage.bm.evicted_bytes");
       sm->bm_bytes_read = &reg.GetCounter("storage.bm.bytes_read");
       sm->bm_coalesced_misses =
@@ -132,7 +132,6 @@ struct StorageMetrics {
         sm->bm_shard_misses[i] = &reg.GetCounter(name);
       }
       sm->io_faults = &reg.GetCounter("storage.io_faults");
-      sm->bm_resident_bytes = &reg.GetGauge("storage.bm.resident_bytes");
       static const char* kTier[kBmTiers] = {"hot", "dram", "ssd"};
       for (size_t t = 0; t < kBmTiers; t++) {
         char name[64];

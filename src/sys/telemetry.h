@@ -45,7 +45,7 @@
 //
 // Metric naming convention (see docs/OBSERVABILITY.md for the inventory):
 // dot-separated lowercase families, e.g. codec.pfor.decode.values,
-// storage.bm.evictions, engine.select.rows_out, tpch.queries.
+// storage.tier.dram.evictions, engine.select.rows_out, tpch.queries.
 
 namespace scc {
 

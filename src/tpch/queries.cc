@@ -248,8 +248,7 @@ QueryStats SerialScanPlan(const TpchDatabase& db, BufferManager* bm,
 }
 
 /// Each slot folds into its own partial; the partials merge before the
-/// one finalization. A slot folds a copy of its selection, because
-/// ParallelScan's is read-only.
+/// one finalization.
 template <typename Agg>
 Result<QueryStats> ParallelScanPlan(const TpchDatabase& db, BufferManager* bm,
                                     unsigned threads) {
@@ -258,13 +257,8 @@ Result<QueryStats> ParallelScanPlan(const TpchDatabase& db, BufferManager* bm,
   ParallelScan scan(&db.lineitem, bm, Agg::Columns(), opt);
   Agg::Pushdown(&scan);
   std::vector<Agg> partials(scan.slot_count());
-  std::vector<SelVec> sels(scan.slot_count());
   SCC_RETURN_NOT_OK(scan.Run([&](const Batch& b, size_t, size_t slot) {
-    const SelVec& src = scan.selection(slot);
-    SelVec& sel = sels[slot];
-    std::copy_n(src.idx, src.count, sel.idx);
-    sel.count = src.count;
-    partials[slot].Fold(b, &sel);
+    partials[slot].Fold(b, scan.mutable_selection(slot));
   }));
   Agg agg;
   for (const Agg& p : partials) agg.Merge(p);

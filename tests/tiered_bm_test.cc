@@ -11,10 +11,12 @@
 #include "kernel_isa_test_util.h"
 #include "storage/sim_disk.h"
 #include "storage/table.h"
+#include "storage/tier_cache.h"
+#include "sys/telemetry.h"
 #include "tpch/queries.h"
 #include "util/rng.h"
 
-// Tiered buffer manager battery (docs/STORAGE_TIERS.md). Two families:
+// Tiered buffer manager battery (docs/STORAGE_TIERS.md). Three families:
 //
 //  * Differential — every tier configuration must be INVISIBLE to query
 //    results: scans and point reads over a tiered manager produce
@@ -26,6 +28,9 @@
 //    a point-read fault decodes at most one 128-value entry group
 //    (pinned via the codec.*.decode.values delta), and per-tier
 //    promotion/eviction flows balance the residency gauges.
+//  * TierCache — the one LRU under all three tiers, on its own: global
+//    victim order across shards, pins, duplicate inserts, and counters
+//    that survive Clear() while ResetStats() keeps the entries.
 
 namespace scc {
 namespace {
@@ -399,6 +404,101 @@ TEST(TieredBM, ConcurrentStormKeepsCountersCoherent) {
     EXPECT_EQ(s.promotions - s.evictions, s.resident_entries)
         << "tier " << int(t);
   }
+  const BufferManager::TierStats dram =
+      bm.tier_stats(BufferManager::CacheTier::kDram);
+  const BufferManager::TierStats ssd =
+      bm.tier_stats(BufferManager::CacheTier::kSsd);
+  EXPECT_EQ(ssd.promotions, dram.writebacks - dram.writeback_failures);
+  EXPECT_EQ(bm.ssd_disk()->write_count(), dram.writebacks);
+}
+
+// Eight threads thrash one column through a 1.5-chunk DRAM tier over a
+// 3-chunk SSD tier, so two evictions of the same page often demote it at
+// once. Every writeback must end as an SSD promotion or a failure.
+TEST(TieredBM, ConcurrentDemotionsBalanceWritebacks) {
+  TestData d = MakeData(90000);  // 11 chunks per column
+  const StoredColumn* col = d.t.column("a");
+  const size_t one_chunk = col->chunks[0].size();
+  SimDisk disk;
+  BufferManager::TierConfig tc;
+  tc.ssd_capacity_bytes = 3 * one_chunk;
+  BufferManager bm(&disk, one_chunk + one_chunk / 2, Layout::kDSM, tc);
+
+  constexpr int kThreads = 8;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int ti = 0; ti < kThreads; ti++) {
+    threads.emplace_back([&, ti] {
+      Rng rng(2000 + ti);
+      for (int i = 0; i < 3000; i++) {
+        const size_t chunk = size_t(rng.Uniform(col->chunk_count()));
+        Result<BufferManager::PageGuard> g = bm.FetchPinned(&d.t, col, chunk);
+        if (!g.ok() || g.ValueOrDie()->size() != col->chunks[chunk].size()) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_FALSE(failed.load());
+
+  const BufferManager::TierStats dram =
+      bm.tier_stats(BufferManager::CacheTier::kDram);
+  const BufferManager::TierStats ssd =
+      bm.tier_stats(BufferManager::CacheTier::kSsd);
+  EXPECT_GT(dram.writebacks, 0u);
+  EXPECT_EQ(ssd.promotions, dram.writebacks - dram.writeback_failures);
+  EXPECT_EQ(bm.ssd_disk()->write_count(), dram.writebacks);
+  for (const BufferManager::TierStats& s : {dram, ssd}) {
+    ASSERT_GE(s.promotions, s.evictions);
+    EXPECT_EQ(s.promotions - s.evictions, s.resident_entries);
+  }
+}
+
+// A tier that is not configured counts nothing, per manager or in the
+// registry, while the DRAM tier counts as always.
+TEST(TieredBM, DisabledTiersCountNothing) {
+  TestData d = MakeData(50000);
+  const MetricsSnapshot before = MetricsRegistry::Instance().Snapshot();
+  SimDisk disk;
+  BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM);
+  (void)ScanChecksum(d.t, &bm, 2);
+  Rng rng(5);
+  for (int i = 0; i < 200; i++) {
+    const size_t row = size_t(rng.Uniform(d.a.size()));
+    ASSERT_EQ(bm.ReadValue<int64_t>(&d.t, d.t.column("a"), row).ValueOrDie(),
+              d.a[row]);
+    ASSERT_EQ(bm.ReadValue<int32_t>(&d.t, d.t.column("c"), row).ValueOrDie(),
+              d.c[row]);
+  }
+  for (BufferManager::CacheTier t :
+       {BufferManager::CacheTier::kHot, BufferManager::CacheTier::kSsd}) {
+    const BufferManager::TierStats s = bm.tier_stats(t);
+    EXPECT_EQ(s.hits + s.misses + s.promotions + s.writebacks +
+                  s.writeback_failures + s.evictions + s.resident_bytes +
+                  s.resident_entries,
+              0u)
+        << "tier " << int(t);
+  }
+  EXPECT_GT(bm.tier_stats(BufferManager::CacheTier::kDram).misses, 0u);
+
+  const MetricsSnapshot after = MetricsRegistry::Instance().Snapshot();
+  auto moved = [&](const std::string& name) {
+    const MetricEntry* b = before.Find(name);
+    const MetricEntry* a = after.Find(name);
+    return (a ? a->value : 0) - (b ? b->value : 0);
+  };
+  for (const MetricEntry& e : after.entries) {
+    if (e.name.rfind("storage.tier.hot.", 0) == 0 ||
+        e.name.rfind("storage.tier.ssd.", 0) == 0) {
+      EXPECT_EQ(moved(e.name), 0) << e.name;
+    }
+  }
+  // The registry is live here (SCC_TELEMETRY builds with metrics on), so
+  // the zero deltas above are not vacuous.
+  if (TelemetryEnabled()) {
+    EXPECT_GT(moved("storage.tier.dram.misses"), 0);
+  }
 }
 
 TEST(TieredBM, TpchQ1Q6ChecksumsMatchUntieredAt25PctDram) {
@@ -464,6 +564,139 @@ TEST(TieredBM, ReadValueRejectsTypeAndRangeErrors) {
   EXPECT_FALSE(
       bm.ReadValue<int64_t>(&d.t, d.t.column("a"), d.a.size()).ok());
 }
+
+// TierCache on its own, with 1-byte entries so capacity counts entries.
+// Keys differ by chunk only, so key i lands in shard i mod shards: every
+// check runs across 4 shards and within 1.
+class TierCacheTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  using Cache = TierCache<int>;
+
+  static TierKey K(size_t i) { return TierKey{nullptr, i}; }
+  /// MakeSpace + unpinned Insert, recording victims in eviction order.
+  void Put(Cache& c, size_t i) {
+    c.MakeSpace(1, [&](Cache::Victim&& v) {
+      victims_.push_back(v.key.chunk);
+    });
+    c.Insert(K(i), 1, int(i), /*pin=*/false);
+  }
+
+  std::vector<size_t> victims_;
+};
+
+TEST_P(TierCacheTest, VictimIsTheGloballyOldestUnpinnedEntry) {
+  Cache c(CacheTier::kHot, 4, GetParam());
+  for (size_t i = 0; i < 4; i++) Put(c, i);
+  EXPECT_TRUE(victims_.empty());
+  ASSERT_TRUE(c.Touch(K(0)));
+  ASSERT_TRUE(c.Touch(K(2)));  // oldest first: 1, 3, 0, 2
+  for (size_t i = 4; i < 7; i++) Put(c, i);
+  EXPECT_EQ(victims_, (std::vector<size_t>{1, 3, 0}));
+  EXPECT_EQ(c.stats().resident_entries, 4u);
+}
+
+TEST_P(TierCacheTest, PinnedEntriesAreNeverVictimsAndAllPinnedOvercommits) {
+  Cache c(CacheTier::kHot, 2, GetParam());
+  c.MakeSpace(1, [](Cache::Victim&&) {});
+  c.Insert(K(0), 1, 0, /*pin=*/true);
+  c.MakeSpace(1, [](Cache::Victim&&) {});
+  c.Insert(K(1), 1, 1, /*pin=*/true);
+  Put(c, 2);  // nothing unpinned to evict: overcommit
+  EXPECT_TRUE(victims_.empty());
+  EXPECT_EQ(c.stats().resident_bytes, 3u);
+  EXPECT_EQ(c.pinned(), 2u);
+
+  c.Unpin(K(0));
+  Put(c, 3);  // evicts down to capacity, stepping over pinned K(1)
+  EXPECT_EQ(victims_, (std::vector<size_t>{0, 2}));
+  EXPECT_TRUE(c.Contains(K(1)));
+  EXPECT_EQ(c.stats().resident_bytes, 2u);
+}
+
+TEST_P(TierCacheTest, InsertingAPresentKeyReturnsTheLiveEntry) {
+  Cache c(CacheTier::kHot, 4, GetParam());
+  const auto [live, inserted] = c.Insert(K(0), 1, 7, /*pin=*/false);
+  ASSERT_TRUE(inserted);
+  const auto [again, inserted_again] = c.Insert(K(0), 1, 9, /*pin=*/true);
+  EXPECT_FALSE(inserted_again);
+  EXPECT_EQ(again, live);
+  EXPECT_EQ(*again, 7);
+  EXPECT_EQ(c.pinned(), 1u);
+  EXPECT_FALSE(c.Admit(K(0), 1, 9));
+  const TierStats s = c.stats();
+  EXPECT_EQ(s.promotions, 1u);
+  EXPECT_EQ(s.resident_entries, 1u);
+  EXPECT_EQ(s.resident_bytes, 1u);
+}
+
+TEST_P(TierCacheTest, FlowsBalanceResidencyAfterMixedTraffic) {
+  Cache c(CacheTier::kHot, 24, GetParam());
+  std::vector<std::thread> threads;
+  for (int ti = 0; ti < 4; ti++) {
+    threads.emplace_back([&, ti] {
+      Rng rng(300 + ti);
+      for (int i = 0; i < 2000; i++) {
+        const TierKey k = K(size_t(rng.Uniform(64)));
+        const size_t bytes = 1 + size_t(rng.Uniform(3));
+        switch (rng.Uniform(5)) {
+          case 0:
+            c.Admit(k, bytes, i);
+            break;
+          case 1:
+            c.Erase(k);
+            break;
+          case 2:
+            if (c.Touch(k)) {
+              c.CountHit();
+            } else {
+              c.CountMiss();
+            }
+            break;
+          default: {
+            c.MakeSpace(bytes, [](Cache::Victim&&) {});
+            c.Insert(k, bytes, i, /*pin=*/true);
+            c.Unpin(k);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const TierStats s = c.stats();
+  ASSERT_GE(s.promotions, s.evictions);
+  EXPECT_EQ(s.promotions - s.evictions, s.resident_entries);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_EQ(c.pinned(), 0u);
+  size_t resident = 0;
+  for (size_t i = 0; i < 64; i++) resident += c.Contains(K(i));
+  EXPECT_EQ(resident, s.resident_entries);
+}
+
+TEST_P(TierCacheTest, ClearKeepsStatsAndResetStatsKeepsEntries) {
+  Cache c(CacheTier::kHot, 8, GetParam());
+  for (size_t i = 0; i < 3; i++) Put(c, i);
+  c.CountHit();
+  c.CountMiss();
+  c.Clear();
+  TierStats s = c.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.promotions, 3u);
+  EXPECT_EQ(s.resident_entries, 0u);
+  EXPECT_EQ(s.resident_bytes, 0u);
+  EXPECT_FALSE(c.Contains(K(0)));
+
+  for (size_t i = 0; i < 2; i++) Put(c, i);
+  c.ResetStats();
+  s = c.stats();
+  EXPECT_EQ(s.hits + s.misses + s.promotions + s.evictions, 0u);
+  EXPECT_EQ(s.resident_entries, 2u);
+  EXPECT_EQ(s.resident_bytes, 2u);
+  EXPECT_TRUE(c.Contains(K(1)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, TierCacheTest, ::testing::Values(4, 1),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace scc
