@@ -109,19 +109,87 @@ inline bool StripFlag(int* argc, char** argv, const char* flag) {
   return found;
 }
 
-/// Machine-readable output mode (--json): one JSON object per line per
-/// benchmark, so results pipe straight into jq / a tracking dashboard.
-/// `extra` appends additional numeric fields (e.g. "ipc", "speedup").
-inline void EmitJsonLine(
-    const std::string& name, double bytes_per_second, double ns_per_value,
-    const std::vector<std::pair<std::string, double>>& extra = {}) {
-  printf("{\"name\":\"%s\",\"bytes_per_second\":%.6g,\"ns_per_value\":%.6g",
-         name.c_str(), bytes_per_second, ns_per_value);
-  for (const auto& [key, value] : extra) {
-    printf(",\"%s\":%.6g", key.c_str(), value);
+/// The one machine-readable report format (--json): a single object
+///
+///   {"bench":"micro_morsel","config":{"max_threads":4},"metrics":{
+///   "morsel_scan/threads:1.bytes_per_second":1.07e+09,
+///   "morsel_scan/threads:1.speedup":1}}
+///
+/// whose flat "metrics" map holds one metric per line, so json.load reads
+/// the whole report and `grep KEY` picks single metrics out of it.
+/// Stackbench (stackbench/README.md) is the ledger performance claims
+/// come from; these reports are per-bench detail with no baseline.
+class JsonReport {
+ public:
+  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
+
+  void Config(const std::string& key, double value) {
+    config_.emplace_back(key, Number(value));
   }
-  printf("}\n");
-}
+  void Config(const std::string& key, const std::string& value) {
+    config_.emplace_back(key, Quote(value));
+  }
+  void Metric(const std::string& key, double value) {
+    metrics_.emplace_back(key, Number(value));
+  }
+  /// `name.bytes_per_second` and `name.ns_per_value` of a run that took
+  /// `seconds` over `bytes` bytes holding `values` values.
+  void Rate(const std::string& name, double bytes, double values,
+            double seconds) {
+    Metric(name + ".bytes_per_second", bytes / seconds);
+    Metric(name + ".ns_per_value", seconds * 1e9 / values);
+  }
+
+  void Write(FILE* out) const {
+    fprintf(out, "{\"bench\":%s,\"config\":{", Quote(bench_).c_str());
+    for (size_t i = 0; i < config_.size(); i++) {
+      fprintf(out, "%s%s:%s", i == 0 ? "" : ",",
+              Quote(config_[i].first).c_str(), config_[i].second.c_str());
+    }
+    fprintf(out, "},\"metrics\":{");
+    for (size_t i = 0; i < metrics_.size(); i++) {
+      fprintf(out, "%s\n%s:%s", i == 0 ? "" : ",",
+              Quote(metrics_[i].first).c_str(), metrics_[i].second.c_str());
+    }
+    fprintf(out, "}}\n");
+  }
+  /// Writes the report to `path`; false, with a message, when it cannot.
+  bool Save(const char* path) const {
+    FILE* f = std::fopen(path, "w");
+    bool ok = f != nullptr;
+    if (ok) {
+      Write(f);
+      ok = std::fclose(f) == 0;
+    }
+    if (!ok) {
+      fprintf(stderr, "error: cannot write %s\n", path);
+      return false;
+    }
+    printf("wrote %s\n", path);
+    return true;
+  }
+
+ private:
+  /// A timer that read zero makes a rate infinite; JSON has no literal
+  /// for that, so it is written as null.
+  static std::string Number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    snprintf(buf, sizeof(buf), "%.10g", v);
+    return buf;
+  }
+  static std::string Quote(const std::string& s) {
+    std::string q = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') q += '\\';
+      q += c;
+    }
+    return q + "\"";
+  }
+
+  std::string bench_;
+  std::vector<std::pair<std::string, std::string>> config_, metrics_;
+};
 
 /// Geometric mean (the right average for throughput ratios across bit
 /// widths); zero/negative entries are skipped.

@@ -17,7 +17,7 @@
 //   - bulk load: thread scaling of the morsel-parallel loader, with a
 //     byte-identity check against the serial build
 //
-// --json emits one JSON object per line instead of the tables.
+// --json prints the report (bench/bench_util.h) instead of the tables.
 
 #include <cstdio>
 #include <cstring>
@@ -42,6 +42,7 @@ constexpr int kB = 8;
 constexpr int kReps = 3;
 
 bool g_json = false;
+bench::JsonReport g_report("fig5_compression");
 
 std::vector<KernelIsa> SupportedIsas() {
   std::vector<KernelIsa> isas;
@@ -96,19 +97,14 @@ void FlatKernelSection() {
                  miss0.data(), miss1.data());
     });
 
-    if (g_json) {
-      char name[64];
-      snprintf(name, sizeof(name), "fig5/naive/exc_%.2f", rate);
-      bench::EmitJsonLine(name, bytes / naive.seconds,
-                          naive.seconds * 1e9 / double(kN));
-      snprintf(name, sizeof(name), "fig5/pred/exc_%.2f", rate);
-      bench::EmitJsonLine(name, bytes / pred.seconds,
-                          pred.seconds * 1e9 / double(kN));
-      snprintf(name, sizeof(name), "fig5/dc/exc_%.2f", rate);
-      bench::EmitJsonLine(name, bytes / dc.seconds,
-                          dc.seconds * 1e9 / double(kN));
-      continue;
-    }
+    char name[64];
+    snprintf(name, sizeof(name), "fig5/naive/exc_%.2f", rate);
+    g_report.Rate(name, bytes, kN, naive.seconds);
+    snprintf(name, sizeof(name), "fig5/pred/exc_%.2f", rate);
+    g_report.Rate(name, bytes, kN, pred.seconds);
+    snprintf(name, sizeof(name), "fig5/dc/exc_%.2f", rate);
+    g_report.Rate(name, bytes, kN, dc.seconds);
+    if (g_json) continue;
     printf("  %4.2f   | %9.2f  %s %s | %9.2f  %s %s | %9.2f  %s %s\n", rate,
            GBPerSec(bytes, naive.seconds),
            bench::FmtRate(naive.perf.BranchMissRate()).c_str(),
@@ -161,14 +157,11 @@ void PackKernelSection() {
       }));
       const double speedup = secs[0][wi] / secs[ii][wi];
       if (isas[ii] == KernelIsa::kAvx2) speedups_avx2.push_back(speedup);
-      if (g_json) {
-        char name[64];
-        snprintf(name, sizeof(name), "fig5/pack/%s/b%d",
-                 KernelIsaName(isas[ii]), b);
-        bench::EmitJsonLine(name, in_bytes / secs[ii][wi],
-                            secs[ii][wi] * 1e9 / double(n),
-                            {{"speedup_vs_scalar", speedup}});
-      }
+      char name[64];
+      snprintf(name, sizeof(name), "fig5/pack/%s/b%d",
+               KernelIsaName(isas[ii]), b);
+      g_report.Rate(name, in_bytes, n, secs[ii][wi]);
+      g_report.Metric(std::string(name) + ".speedup_vs_scalar", speedup);
     }
   }
   if (!g_json) {
@@ -181,12 +174,10 @@ void PackKernelSection() {
     }
   }
   double geomean = bench::GeoMean(speedups_avx2);
-  if (g_json) {
-    if (geomean > 0) {
-      bench::EmitJsonLine("fig5/pack/avx2_geomean_speedup", 0, 0,
-                          {{"speedup_vs_scalar", geomean}});
-    }
-  } else if (geomean > 0) {
+  if (geomean > 0) {
+    g_report.Metric("fig5/pack/avx2_geomean_speedup", geomean);
+  }
+  if (!g_json && geomean > 0) {
     printf("AVX2 geomean speedup vs scalar (b <= 16): %.2fx\n", geomean);
     printf("note: the \"scalar\" TU is built at -O3 and auto-vectorizes; "
            "speedups are\nrelative to that baseline, not to one value per "
@@ -204,15 +195,11 @@ void PackKernelSection() {
     double de = bench::BestSeconds(kReps, [&] {
       DeltaEncode64(vals64.data(), n, 0, deltas64.data());
     });
-    if (g_json) {
-      char name[64];
-      snprintf(name, sizeof(name), "fig5/for_encode_pack64/%s",
-               KernelIsaName(isa));
-      bench::EmitJsonLine(name, in_bytes64 / fe, fe * 1e9 / double(n));
-      snprintf(name, sizeof(name), "fig5/delta_encode64/%s",
-               KernelIsaName(isa));
-      bench::EmitJsonLine(name, in_bytes64 / de, de * 1e9 / double(n));
-    } else {
+    g_report.Rate(std::string("fig5/for_encode_pack64/") + KernelIsaName(isa),
+                  in_bytes64, n, fe);
+    g_report.Rate(std::string("fig5/delta_encode64/") + KernelIsaName(isa),
+                  in_bytes64, n, de);
+    if (!g_json) {
       printf("%-8s ForEncodePack64(b=12) %6.2f GB/s   DeltaEncode64 "
              "%6.2f GB/s\n",
              KernelIsaName(isa), GBPerSec(in_bytes64, fe),
@@ -243,14 +230,11 @@ void PipelineSection() {
         auto seg = SegmentBuilder<int64_t>::Build(data, choice);
         if (!seg.ok()) std::abort();
       });
-      if (g_json) {
-        char name[64];
-        snprintf(name, sizeof(name), "fig5/pipeline/%s/exc_%.2f",
-                 KernelIsaName(isa), rate);
-        bench::EmitJsonLine(name, bytes / secs, secs * 1e9 / double(kN));
-      } else {
-        printf("| %6.2f   ", GBPerSec(bytes, secs));
-      }
+      char name[64];
+      snprintf(name, sizeof(name), "fig5/pipeline/%s/exc_%.2f",
+               KernelIsaName(isa), rate);
+      g_report.Rate(name, bytes, kN, secs);
+      if (!g_json) printf("| %6.2f   ", GBPerSec(bytes, secs));
     }
     if (!g_json) printf("\n");
   }
@@ -316,12 +300,11 @@ int BulkLoadSection() {
       }
     }
     double scaling = serial_secs > 0 ? serial_secs / secs : 0;
-    if (g_json) {
-      char name[64];
-      snprintf(name, sizeof(name), "fig5/bulk_load/threads_%u", threads);
-      bench::EmitJsonLine(name, bytes / secs, secs * 1e9 / double(rows),
-                          {{"scaling_vs_serial", scaling}});
-    } else {
+    const std::string name =
+        "fig5/bulk_load/threads_" + std::to_string(threads);
+    g_report.Rate(name, bytes, rows, secs);
+    g_report.Metric(name + ".scaling_vs_serial", scaling);
+    if (!g_json) {
       printf("threads=%u  %7.1f MB/s  (%.2fx vs serial%s)\n", threads,
              MBPerSec(bytes, secs), scaling,
              threads == 1 ? "" : ", segments byte-identical");
@@ -344,7 +327,9 @@ int Main(int argc, char** argv) {
   FlatKernelSection();
   PackKernelSection();
   PipelineSection();
-  return BulkLoadSection();
+  const int rc = BulkLoadSection();
+  if (g_json) g_report.Write(stdout);
+  return rc;
 }
 
 }  // namespace

@@ -15,10 +15,10 @@
 //    selectivities from 0.1% to 99%, on a uniform column (summaries never
 //    skip: the win is pure kernel) and a clustered/sorted one (summaries
 //    skip or bulk-accept almost every group). Both plans must agree
-//    exactly; the sweep records per-value latency for the perf gate.
+//    exactly; the sweep records per-value latency.
 //
-// --json PATH writes the BenchReport format tools/scc_bench_diff consumes
-// (flat "metrics" map); BENCH_PR7.json is the checked-in baseline.
+// --json PATH writes the sweep in the benches' one report format
+// (bench/bench_util.h).
 // Bandwidth numbers are single-threaded and the working set at the sweep
 // size fits the last-level cache on typical hardware — treat absolute
 // GB/s from 1-core CI runners as indicative only.
@@ -96,7 +96,7 @@ void RunDictAblation() {
          GBPerSec(bytes, t_codes));
 }
 
-void RunSelectionSweep(std::string* metrics_json) {
+void RunSelectionSweep(bench::JsonReport* report) {
   bench::PrintHeader("Selection pushdown vs decode-then-select",
                      "compressed-domain SelectBetween");
   // Uniform: every 128-value group spans nearly the whole [0, 1024)
@@ -118,7 +118,6 @@ void RunSelectionSweep(std::string* metrics_json) {
     const std::vector<int64_t>* values;
   };
   const Shape shapes[] = {{"uniform", &uniform}, {"clustered", &clustered}};
-  char buf[256];
   for (const Shape& shape : shapes) {
     auto seg = SegmentBuilder<int64_t>::BuildPFor(
         *shape.values, PForParams<int64_t>{kSweepB, 0});
@@ -158,14 +157,13 @@ void RunSelectionSweep(std::string* metrics_json) {
       printf("  %5.1f%%  | %5.2f %9.1f | %5.2f %9.1f | %6.2fx\n", s * 100,
              t_dec * 1e3, kSweepN / t_dec / 1e6, t_push * 1e3,
              kSweepN / t_push / 1e6, t_dec / t_push);
-      snprintf(buf, sizeof(buf),
-               "\"%s.s%04.1f.decoded_ns_per_value\":%.4f,"
-               "\"%s.s%04.1f.compressed_ns_per_value\":%.4f,"
-               "\"%s.s%04.1f.speedup\":%.3f,",
-               shape.name, s * 100, t_dec * 1e9 / double(kSweepN),
-               shape.name, s * 100, t_push * 1e9 / double(kSweepN),
-               shape.name, s * 100, t_dec / t_push);
-      *metrics_json += buf;
+      char key[64];
+      snprintf(key, sizeof(key), "%s.s%04.1f.", shape.name, s * 100);
+      report->Metric(std::string(key) + "decoded_ns_per_value",
+                     t_dec * 1e9 / double(kSweepN));
+      report->Metric(std::string(key) + "compressed_ns_per_value",
+                     t_push * 1e9 / double(kSweepN));
+      report->Metric(std::string(key) + "speedup", t_dec / t_push);
     }
   }
   printf("\nThe compressed plan never materializes the 8-byte values: it "
@@ -187,23 +185,11 @@ int Main(int argc, char** argv) {
                      "Section 2.1 (compressed execution)");
   RunDictAblation();
 
-  std::string metrics_json;
-  RunSelectionSweep(&metrics_json);
-
-  if (json_path != nullptr) {
-    if (!metrics_json.empty()) metrics_json.pop_back();  // trailing comma
-    FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      fprintf(stderr, "error: cannot write %s\n", json_path);
-      return 1;
-    }
-    fprintf(f,
-            "{\"bench\":\"micro_compressed_exec\",\"config\":{\"sweep_n\":%zu,"
-            "\"sweep_bits\":%d},\"metrics\":{%s}}\n",
-            kSweepN, kSweepB, metrics_json.c_str());
-    std::fclose(f);
-    printf("wrote %s\n", json_path);
-  }
+  bench::JsonReport report("micro_compressed_exec");
+  report.Config("sweep_n", double(kSweepN));
+  report.Config("sweep_bits", kSweepB);
+  RunSelectionSweep(&report);
+  if (json_path != nullptr && !report.Save(json_path)) return 1;
 
   printf("\nPaper reference (Section 2.1): selecting on the integer code "
          "needs less\nI/O and a cheaper predicate than decoding to the "

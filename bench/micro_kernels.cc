@@ -215,18 +215,19 @@ std::vector<KernelIsa> SupportedIsas() {
   return isas;
 }
 
+/// Prints one sweep row, or with `report` records it there instead.
 void PrintIsaRow(const char* name, KernelIsa isa, const IsaMeasurement& m,
-                 double bytes, double n, double speedup, bool json) {
-  if (json) {
-    std::vector<std::pair<std::string, double>> extra;
+                 double bytes, double n, double speedup,
+                 bench::JsonReport* report) {
+  if (report != nullptr) {
+    const std::string key = std::string(name) + "/" + KernelIsaName(isa);
+    report->Rate(key, bytes, n, m.seconds);
     if (m.perf.IPC() >= 0) {
-      extra.emplace_back("ipc", m.perf.IPC());
-      extra.emplace_back("cache_miss_rate", m.perf.CacheMissRate());
-      extra.emplace_back("branch_miss_rate", m.perf.BranchMissRate());
+      report->Metric(key + ".ipc", m.perf.IPC());
+      report->Metric(key + ".cache_miss_rate", m.perf.CacheMissRate());
+      report->Metric(key + ".branch_miss_rate", m.perf.BranchMissRate());
     }
-    if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
-    bench::EmitJsonLine(std::string(name) + "/" + KernelIsaName(isa),
-                        bytes / m.seconds, m.seconds * 1e9 / n, extra);
+    if (speedup > 0) report->Metric(key + ".speedup_vs_scalar", speedup);
   } else {
     printf("  %-28s %-6s %8.2f GB/s  %6.2f ns/kval  ipc=%s miss=%s "
            "br=%s",
@@ -245,14 +246,14 @@ void PrintIsaRow(const char* name, KernelIsa isa, const IsaMeasurement& m,
 /// kernel kInner times, so the sweep measures kernel throughput rather
 /// than the cache-level store bandwidth a multi-MB working set hits.
 /// Restores the startup-selected backend before returning.
-void RunIsaSweep(bool json) {
+void RunIsaSweep(bench::JsonReport* report) {
   const KernelIsa original = ActiveKernelIsa();
   const auto isas = SupportedIsas();
   const size_t n = 4096;
   const size_t kInner = 2048;
   Rng rng(42);
 
-  if (!json) {
+  if (report == nullptr) {
     printf("\n=== Kernel ISA sweep (scalar vs SIMD) ===\n");
     printf("active backend at startup: %s\n\n", KernelIsaName(original));
   }
@@ -286,7 +287,7 @@ void RunIsaSweep(bool json) {
         if (isa == original && b <= 16) simd_speedups_1_16.push_back(speedup);
       }
       PrintIsaRow(name, isa, m, bytes, double(n) * double(kInner), speedup,
-                  json);
+                  report);
     }
   }
 
@@ -308,7 +309,7 @@ void RunIsaSweep(bool json) {
           BitUnpackFor32(packed.data(), n, b, 1000u, out32.data());
         }
       });
-      PrintIsaRow("BitUnpackFor32/8", isa, m, values * 4, values, 0, json);
+      PrintIsaRow("BitUnpackFor32/8", isa, m, values * 4, values, 0, report);
     }
     for (KernelIsa isa : isas) {
       SetKernelIsa(isa);
@@ -317,7 +318,7 @@ void RunIsaSweep(bool json) {
           BitUnpackFor64(packed.data(), n, b, 1000u, out64.data());
         }
       });
-      PrintIsaRow("BitUnpackFor64/8", isa, m, values * 8, values, 0, json);
+      PrintIsaRow("BitUnpackFor64/8", isa, m, values * 8, values, 0, report);
     }
     for (KernelIsa isa : isas) {
       SetKernelIsa(isa);
@@ -327,7 +328,7 @@ void RunIsaSweep(bool json) {
           PrefixSum32(out32.data(), n, 0);
         }
       });
-      PrintIsaRow("PrefixSum32", isa, m, values * 4, values, 0, json);
+      PrintIsaRow("PrefixSum32", isa, m, values * 4, values, 0, report);
     }
     for (KernelIsa isa : isas) {
       SetKernelIsa(isa);
@@ -337,17 +338,17 @@ void RunIsaSweep(bool json) {
           PrefixSum64(out64.data(), n, 0);
         }
       });
-      PrintIsaRow("PrefixSum64", isa, m, values * 8, values, 0, json);
+      PrintIsaRow("PrefixSum64", isa, m, values * 8, values, 0, report);
     }
   }
 
   SetKernelIsa(original);
   const double geomean = bench::GeoMean(simd_speedups_1_16);
-  if (json) {
+  if (report != nullptr) {
     if (geomean > 0) {
-      bench::EmitJsonLine(std::string("BitUnpackGeoMeanSpeedup/b1-16/") +
-                              KernelIsaName(original),
-                          0, 0, {{"speedup_vs_scalar", geomean}});
+      report->Metric(std::string("BitUnpackGeoMeanSpeedup/b1-16/") +
+                         KernelIsaName(original),
+                     geomean);
     }
   } else if (geomean > 0) {
     printf("\nBitUnpack geomean speedup (b=1..16, %s vs scalar): %.2fx\n\n",
@@ -365,7 +366,7 @@ void RunIsaSweep(bool json) {
 /// CRC pass is a single streaming sweep per segment open, amortized over
 /// every vector decoded from it — this sweep makes that amortization
 /// visible (plus a raw CRC32C bandwidth row for context).
-void RunChecksumSweep(bool json) {
+void RunChecksumSweep(bench::JsonReport* report) {
   const size_t n = 1u << 20;
   const size_t kGran = 128;  // the paper's vector granularity
   const int b = 8;
@@ -401,14 +402,13 @@ void RunChecksumSweep(bool json) {
   });
   const double overhead = off_s > 0 ? ver_s / off_s : 0.0;
 
-  if (json) {
-    bench::EmitJsonLine("ChecksumDecode/off", bytes / off_s,
-                        off_s * 1e9 / double(n), {});
-    bench::EmitJsonLine("ChecksumDecode/on", bytes / on_s,
-                        on_s * 1e9 / double(n),
-                        {{"overhead_vs_off", overhead}});
-    bench::EmitJsonLine(std::string("Crc32c/") + Crc32cBackendName(),
-                        double(buf.size()) / crc_s, 0, {});
+  if (report != nullptr) {
+    report->Rate("ChecksumDecode/off", bytes, n, off_s);
+    report->Rate("ChecksumDecode/on", bytes, n, on_s);
+    report->Metric("ChecksumDecode/on.overhead_vs_off", overhead);
+    report->Metric(std::string("Crc32c/") + Crc32cBackendName() +
+                       ".bytes_per_second",
+                   double(buf.size()) / crc_s);
     return;
   }
   printf("\n=== Checksum cost (PFOR b=%d, %zu values, 128-value vectors) "
@@ -428,10 +428,16 @@ void RunChecksumSweep(bool json) {
 }  // namespace scc
 
 int main(int argc, char** argv) {
-  const bool json = scc::bench::StripFlag(&argc, argv, "--json");
-  scc::RunIsaSweep(json);
-  scc::RunChecksumSweep(json);
-  if (json) return 0;  // machine-readable mode: sweep only, no gbench text
+  if (scc::bench::StripFlag(&argc, argv, "--json")) {
+    // Machine-readable mode: the sweeps only, no google-benchmark text.
+    scc::bench::JsonReport report("micro_kernels");
+    scc::RunIsaSweep(&report);
+    scc::RunChecksumSweep(&report);
+    report.Write(stdout);
+    return 0;
+  }
+  scc::RunIsaSweep(nullptr);
+  scc::RunChecksumSweep(nullptr);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

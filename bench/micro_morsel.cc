@@ -14,7 +14,7 @@
 // host (some CI shards, small containers) the curve is flat — the pool
 // still exercises the full concurrent path (steals, coalesced misses,
 // pinning), there is just no parallel hardware to spend it on. The
-// `threads` and `workers` fields in the JSON make such runs
+// `workers` entry in the --json report's config makes such runs
 // self-describing.
 //
 // Usage: micro_morsel [--json] [max_threads]
@@ -127,6 +127,10 @@ int Main(int argc, char** argv) {
   BufferManager bm(&disk, size_t(1) << 32, Layout::kDSM);
 
   const size_t bytes = kRows * (sizeof(int64_t) + sizeof(int32_t) + 1);
+  bench::JsonReport report("micro_morsel");
+  report.Config("rows", double(kRows));
+  report.Config("max_threads", max_threads);
+  report.Config("workers", ThreadPool::Instance().worker_count());
   ScanResult base = RunOnce(table, &bm, 1);
   SCC_CHECK(base.rows == kRows, "scan dropped rows");
   if (!json) {
@@ -145,20 +149,18 @@ int Main(int argc, char** argv) {
       }
     }
     double speedup = base.seconds / r.seconds;
-    if (json) {
-      bench::EmitJsonLine(
-          "morsel_scan/threads:" + std::to_string(t),
-          double(bytes) / r.seconds, r.seconds * 1e9 / double(kRows),
-          {{"threads", double(t)},
-           {"workers", double(ThreadPool::Instance().worker_count())},
-           {"speedup", speedup}});
-    } else {
+    const std::string key = "morsel_scan/threads:" + std::to_string(t);
+    report.Rate(key, double(bytes), double(kRows), r.seconds);
+    report.Metric(key + ".speedup", speedup);
+    if (!json) {
       printf("%7u   %7.4f   %10.0f   %14.1f  %6.2fx\n", t, r.seconds,
              double(kRows) / r.seconds, bytes / r.seconds / 1048576.0,
              speedup);
     }
   }
-  if (!json) {
+  if (json) {
+    report.Write(stdout);
+  } else {
     printf("\nsteals: %zu (pool lifetime)\n", ThreadPool::Instance().steals());
     printf("note: speedup needs physical cores; on a 1-core host the curve "
            "is flat.\n");

@@ -1,11 +1,9 @@
 // workload_driver — closed-loop client harness for scc_serve
-// (docs/SERVICE.md). Where bench/tail_latency measures the library's
-// latency distribution in-process, this one measures the *service*: each
-// client is a real TCP connection issuing one request at a time, so the
-// numbers include framing, the admission gate, pool queueing, and the
-// reply path.
+// (docs/SERVICE.md). It measures the *service*: each client is a real TCP
+// connection issuing one request at a time, so the numbers include
+// framing, the admission gate, pool queueing, and the reply path.
 //
-// Mixes mirror tail_latency:
+// Mixes:
 //   read_only    100% point lookups
 //   mixed_80_20  80% point lookups / 20% BETWEEN range scans
 //
@@ -46,9 +44,7 @@
 //                   [--tenants N] [--seed S]
 //                   [--deadline-us N] [--verify] [--json PATH]
 //
-// --json writes the BenchReport format tools/scc_bench_diff consumes;
-// the checked-in BENCH_PR10.json baseline was recorded with the defaults
-// plus --mode both against `scc_serve --rows 131072`.
+// --json writes the benches' one report format (bench/bench_util.h).
 
 #include <algorithm>
 #include <atomic>
@@ -61,6 +57,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "server/client.h"
 #include "sys/timer.h"
 #include "util/rng.h"
@@ -433,8 +430,7 @@ MixStats RunPipelinedMix(const Options& opt, const std::string& name,
   return stats;
 }
 
-void PrintAndCollect(const MixStats& s, std::string* metrics_json) {
-  char buf[256];
+void PrintAndCollect(const MixStats& s, bench::JsonReport* report) {
   struct Series {
     const char* label;
     const Lats* lats;
@@ -450,9 +446,8 @@ void PrintAndCollect(const MixStats& s, std::string* metrics_json) {
           {0.95, "p95_ns"},
           {0.99, "p99_ns"},
           {0.999, "p999_ns"}}) {
-      snprintf(buf, sizeof(buf), "\"%s.%s.%s\":%llu,", s.name.c_str(),
-               ser.label, label, (unsigned long long)ser.lats->Exact(q));
-      *metrics_json += buf;
+      report->Metric(s.name + "." + ser.label + "." + label,
+                     double(ser.lats->Exact(q)));
     }
   }
   printf("%-12s %-6s ok %llu shed %llu deadline %llu failed %llu "
@@ -461,22 +456,16 @@ void PrintAndCollect(const MixStats& s, std::string* metrics_json) {
          (unsigned long long)s.shed, (unsigned long long)s.deadline_exceeded,
          (unsigned long long)s.failed, (unsigned long long)s.incorrect,
          s.OpsPerSec());
-  snprintf(buf, sizeof(buf),
-           "\"%s.ops_per_sec\":%.1f,\"%s.shed\":%llu,"
-           "\"%s.deadline_exceeded\":%llu,",
-           s.name.c_str(), s.OpsPerSec(), s.name.c_str(),
-           (unsigned long long)s.shed, s.name.c_str(),
-           (unsigned long long)s.deadline_exceeded);
-  *metrics_json += buf;
+  report->Metric(s.name + ".ops_per_sec", s.OpsPerSec());
+  report->Metric(s.name + ".shed", double(s.shed));
+  report->Metric(s.name + ".deadline_exceeded", double(s.deadline_exceeded));
   for (size_t t = 1; t < s.tenant_ok.size(); t++) {
     printf("%-12s tenant %zu: ok %llu shed %llu\n", s.name.c_str(), t,
            (unsigned long long)s.tenant_ok[t],
            (unsigned long long)s.tenant_shed[t]);
-    snprintf(buf, sizeof(buf),
-             "\"%s.tenant.%zu.ok\":%llu,\"%s.tenant.%zu.shed\":%llu,",
-             s.name.c_str(), t, (unsigned long long)s.tenant_ok[t],
-             s.name.c_str(), t, (unsigned long long)s.tenant_shed[t]);
-    *metrics_json += buf;
+    const std::string tenant = s.name + ".tenant." + std::to_string(t);
+    report->Metric(tenant + ".ok", double(s.tenant_ok[t]));
+    report->Metric(tenant + ".shed", double(s.tenant_shed[t]));
   }
 }
 
@@ -530,6 +519,10 @@ int Run(int argc, char** argv) {
     fprintf(stderr, "error: unknown --mode %s\n", opt.mode.c_str());
     return 2;
   }
+  if (opt.mix != "read_only" && opt.mix != "mixed_80_20" && opt.mix != "all") {
+    fprintf(stderr, "error: unknown --mix %s\n", opt.mix.c_str());
+    return 2;
+  }
 
   // Row count comes from the server — the driver never assumes the table
   // size, only the `id` column's shape when --verify is on.
@@ -566,43 +559,33 @@ int Run(int argc, char** argv) {
 
   printf("%-12s %-6s %10s %10s %10s %10s %10s\n", "mix", "type", "p50(us)",
          "p95(us)", "p99(us)", "p999(us)", "samples");
-  std::string metrics_json;
+  bench::JsonReport report("workload_driver");
+  report.Config("clients", opt.clients);
+  report.Config("ops", double(opt.ops));
+  report.Config("seed", double(opt.seed));
+  report.Config("deadline_us", double(opt.deadline_micros));
+  report.Config("mode", opt.mode);
+  report.Config("depth", double(opt.depth));
+  report.Config("tenants", opt.tenants);
   uint64_t failed = 0, incorrect = 0;
   for (const Mix& mix : mixes) {
     if (opt.mix != "all" && opt.mix != mix.name) continue;
     if (opt.mode == "closed" || opt.mode == "both") {
       MixStats s = RunMix(opt, mix.name, mix.scan_pct, rows);
-      PrintAndCollect(s, &metrics_json);
+      PrintAndCollect(s, &report);
       failed += s.failed;
       incorrect += s.incorrect;
     }
     if (opt.mode == "pipelined" || opt.mode == "both") {
       MixStats s = RunPipelinedMix(opt, std::string(mix.name) + ".pipelined",
                                    mix.scan_pct, rows);
-      PrintAndCollect(s, &metrics_json);
+      PrintAndCollect(s, &report);
       failed += s.failed;
       incorrect += s.incorrect;
     }
   }
 
-  if (opt.json_path != nullptr) {
-    if (!metrics_json.empty()) metrics_json.pop_back();  // trailing comma
-    FILE* f = std::fopen(opt.json_path, "w");
-    if (f == nullptr) {
-      fprintf(stderr, "error: cannot write %s\n", opt.json_path);
-      return 1;
-    }
-    fprintf(f,
-            "{\"bench\":\"workload_driver\",\"config\":{\"clients\":%u,"
-            "\"ops\":%zu,\"seed\":%llu,\"deadline_us\":%llu,"
-            "\"mode\":\"%s\",\"depth\":%zu,\"tenants\":%u},"
-            "\"metrics\":{%s}}\n",
-            opt.clients, opt.ops, (unsigned long long)opt.seed,
-            (unsigned long long)opt.deadline_micros, opt.mode.c_str(),
-            opt.depth, opt.tenants, metrics_json.c_str());
-    std::fclose(f);
-    printf("wrote %s\n", opt.json_path);
-  }
+  if (opt.json_path != nullptr && !report.Save(opt.json_path)) return 1;
 
   if (failed > 0 || incorrect > 0) {
     fprintf(stderr, "FAIL: %llu failed, %llu incorrect responses\n",

@@ -24,8 +24,6 @@
 //                                 their demand fetch — pure thrash)
 //
 // Pool health family (docs/OBSERVABILITY.md), fed by thread_pool.cc:
-//   exec.pool.steals              alias of exec.steals under the pool
-//                                 family (kept both for compatibility)
 //   exec.pool.queue_depth         gauge: injection-queue backlog
 //   exec.pool.idle_ns             time workers spent parked waiting
 //   exec.pool.queue_wait_ns       hist: task submit -> start latency
@@ -46,7 +44,6 @@ struct ExecMetrics {
   Counter* scan_rows;
   Counter* scan_prefetches;
   Counter* scan_prefetch_suppressed;
-  Counter* pool_steals;
   Gauge* pool_queue_depth;
   Counter* pool_idle_ns;
   Histogram* pool_queue_wait_ns;
@@ -66,7 +63,6 @@ struct ExecMetrics {
       em->scan_prefetches = &reg.GetCounter("exec.scan.prefetches");
       em->scan_prefetch_suppressed =
           &reg.GetCounter("exec.scan.prefetch_suppressed");
-      em->pool_steals = &reg.GetCounter("exec.pool.steals");
       em->pool_queue_depth = &reg.GetGauge("exec.pool.queue_depth");
       em->pool_idle_ns = &reg.GetCounter("exec.pool.idle_ns");
       em->pool_queue_wait_ns = &reg.GetHistogram("exec.pool.queue_wait_ns");

@@ -122,7 +122,8 @@ ThreadPool& ThreadPool::Instance() {
 
 bool ThreadPool::InWorker() { return g_worker_tls.pool != nullptr; }
 
-ThreadPool::ThreadPool(unsigned workers) {
+ThreadPool::ThreadPool(unsigned workers)
+    : steals_(ExecMetrics::Get().steals) {
   if (workers == 0) workers = DefaultWorkerCount();
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; i++) {
@@ -265,9 +266,7 @@ ThreadPool::Task* ThreadPool::FindTask(size_t self) {
     if (Task* t = workers_[v]->deque.Steal()) {
       if (self != SIZE_MAX) {
         workers_[self]->victim_cursor = v;  // stick with a loaded victim
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        ExecMetrics::Get().steals->Increment();
-        ExecMetrics::Get().pool_steals->Increment();
+        steals_.Add();
       }
       return t;
     }

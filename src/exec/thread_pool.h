@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "sys/telemetry.h"
+
 // Shared work-stealing thread pool — the execution substrate the paper's
 // Conclusions call for: the branch-free (de)compression loops turn spare
 // cores into extra effective RAM bandwidth, provided something above the
@@ -27,9 +29,9 @@
 //    the metrics registry so teardown order can't strand a worker.
 //
 // Telemetry: exec.workers (gauge), exec.tasks, exec.steals,
-// exec.queue.overflow, plus the exec.pool.* health family (steals alias,
-// queue_depth gauge, idle_ns, queue_wait_ns/task_run_ns histograms,
-// per-worker run_ns) — see exec_metrics.h.
+// exec.queue.overflow, plus the exec.pool.* health family (queue_depth
+// gauge, idle_ns, queue_wait_ns/task_run_ns histograms, per-worker
+// run_ns) — see exec_metrics.h.
 //
 // Trace propagation: Submit() captures the submitting thread's
 // TraceContext into the task and Execute() reinstalls it around the body,
@@ -89,7 +91,7 @@ class ThreadPool {
                    unsigned max_workers = kNoWorkerCap);
 
   /// Successful steals since construction (mirrors exec.steals).
-  size_t steals() const { return steals_.load(std::memory_order_relaxed); }
+  size_t steals() const { return steals_.Get(); }
 
  private:
   friend class TaskGroup;
@@ -117,7 +119,7 @@ class ThreadPool {
   std::condition_variable sleep_cv_;
   std::atomic<uint64_t> work_epoch_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<size_t> steals_{0};
+  Flow steals_;
 };
 
 /// Groups submitted tasks so a caller can block until all of them finish.

@@ -37,7 +37,10 @@ constexpr int kMaxIov = 64;
 }  // namespace
 
 Server::Server(QueryService* service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
+    : service_(service),
+      options_(std::move(options)),
+      write_errors_(ServerMetrics::Get().write_errors),
+      write_queue_overflows_(ServerMetrics::Get().write_queue_overflow) {
   if (options_.reactor_threads == 0) options_.reactor_threads = 2;
 }
 
@@ -322,7 +325,6 @@ bool Server::FlushLocked(Conn* conn) {
 void Server::QueueResponse(const std::shared_ptr<Conn>& conn,
                            const Response& resp) {
   std::vector<uint8_t> frame = EncodeResponseFramed(resp);
-  ServerMetrics& sm = ServerMetrics::Get();
   bool overflow = false;
   bool write_error = false;
   {
@@ -352,12 +354,10 @@ void Server::QueueResponse(const std::shared_ptr<Conn>& conn,
     }
   }
   if (overflow) {
-    write_queue_overflows_.fetch_add(1, std::memory_order_relaxed);
-    sm.write_queue_overflow->Increment();
+    write_queue_overflows_.Add();
     ScheduleClose(conn);
   } else if (write_error) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    sm.write_errors->Increment();
+    write_errors_.Add();
     ScheduleClose(conn);
   }
 }
@@ -547,8 +547,7 @@ void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
     }
   }
   if (write_error) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().write_errors->Increment();
+    write_errors_.Add();
     CloseNow(conn);
     return;
   }

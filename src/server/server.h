@@ -100,11 +100,9 @@ class Server {
 
   // Always-on local counters (the server.* telemetry family mirrors
   // them when telemetry is enabled; these stay exact regardless).
-  uint64_t write_errors() const {
-    return write_errors_.load(std::memory_order_relaxed);
-  }
+  uint64_t write_errors() const { return write_errors_.Get(); }
   uint64_t write_queue_overflows() const {
-    return write_queue_overflows_.load(std::memory_order_relaxed);
+    return write_queue_overflows_.Get();
   }
 
  private:
@@ -187,8 +185,8 @@ class Server {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  std::atomic<uint64_t> write_errors_{0};
-  std::atomic<uint64_t> write_queue_overflows_{0};
+  Flow write_errors_;
+  Flow write_queue_overflows_;
 };
 
 }  // namespace server

@@ -88,7 +88,12 @@ int64_t ValueAt(const Batch& batch, TypeId type, size_t i) {
 
 QueryService::QueryService(const Table* table, BufferManager* bm,
                            ServiceOptions options)
-    : table_(table), bm_(bm), options_(std::move(options)) {
+    : table_(table),
+      bm_(bm),
+      options_(std::move(options)),
+      accepted_(ServerMetrics::Get().accepted),
+      shed_(ServerMetrics::Get().shed),
+      deadline_exceeded_(ServerMetrics::Get().deadline_exceeded) {
   uint64_t total_weight = 0;
   for (const TenantQuota& q : options_.tenant_quotas) {
     total_weight += q.weight;
@@ -96,17 +101,17 @@ QueryService::QueryService(const Table* table, BufferManager* bm,
   if (total_weight == 0) return;
   MetricsRegistry& reg = MetricsRegistry::Instance();
   for (const TenantQuota& q : options_.tenant_quotas) {
-    auto ts = std::make_unique<TenantState>();
     // Weighted share of the global cap, floored at 1 so a configured
     // tenant can always make progress.
-    ts->limit = std::max<size_t>(
+    const size_t limit = std::max<size_t>(
         1, options_.max_inflight * q.weight / total_weight);
     const std::string prefix =
         "server.tenant." + std::to_string(q.tenant_id);
-    ts->admitted_metric = &reg.GetCounter(prefix + ".admitted");
-    ts->shed_metric = &reg.GetCounter(prefix + ".shed");
-    ts->inflight_metric = &reg.GetGauge(prefix + ".inflight");
-    tenants_[q.tenant_id] = std::move(ts);
+    Counter* admitted = &reg.GetCounter(prefix + ".admitted");
+    Counter* shed = &reg.GetCounter(prefix + ".shed");
+    Gauge* inflight = &reg.GetGauge(prefix + ".inflight");
+    tenants_[q.tenant_id] =
+        std::make_unique<TenantState>(limit, admitted, shed, inflight);
   }
 }
 
@@ -119,10 +124,8 @@ bool QueryService::TryAdmit(uint32_t tenant_id) {
     size_t cur = ts->inflight.load(std::memory_order_relaxed);
     for (;;) {
       if (cur >= ts->limit) {
-        ts->shed.fetch_add(1, std::memory_order_relaxed);
-        ts->shed_metric->Increment();
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        sm.shed->Increment();
+        ts->shed.Add();
+        shed_.Add();
         return false;
       }
       if (ts->inflight.compare_exchange_weak(cur, cur + 1,
@@ -141,11 +144,9 @@ bool QueryService::TryAdmit(uint32_t tenant_id) {
     if (cur >= options_.max_inflight) {
       if (ts != nullptr) {
         ts->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        ts->shed.fetch_add(1, std::memory_order_relaxed);
-        ts->shed_metric->Increment();
+        ts->shed.Add();
       }
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      sm.shed->Increment();
+      shed_.Add();
       return false;
     }
     if (inflight_.compare_exchange_weak(cur, cur + 1,
@@ -153,12 +154,10 @@ bool QueryService::TryAdmit(uint32_t tenant_id) {
       break;
     }
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  sm.accepted->Increment();
+  accepted_.Add();
   sm.inflight->Set(int64_t(inflight_.load(std::memory_order_relaxed)));
   if (ts != nullptr) {
-    ts->admitted.fetch_add(1, std::memory_order_relaxed);
-    ts->admitted_metric->Increment();
+    ts->admitted.Add();
     ts->inflight_metric->Set(
         int64_t(ts->inflight.load(std::memory_order_relaxed)));
   }
@@ -186,11 +185,11 @@ size_t QueryService::tenant_peak_inflight(uint32_t tenant_id) const {
 }
 uint64_t QueryService::tenant_shed(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
-  return ts != nullptr ? ts->shed.load(std::memory_order_relaxed) : 0;
+  return ts != nullptr ? ts->shed.Get() : 0;
 }
 uint64_t QueryService::tenant_admitted(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
-  return ts != nullptr ? ts->admitted.load(std::memory_order_relaxed) : 0;
+  return ts != nullptr ? ts->admitted.Get() : 0;
 }
 
 Response QueryService::ShedResponse(const Request& req) {
@@ -225,8 +224,7 @@ Response QueryService::ExecuteAdmitted(const Request& req,
   Response resp = Dispatch(req, deadline_us);
 
   if (resp.code == StatusCode::kDeadlineExceeded) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    sm.deadline_exceeded->Increment();
+    deadline_exceeded_.Add();
   } else if (resp.code != StatusCode::kOk) {
     sm.errors->Increment();
   }

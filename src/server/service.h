@@ -109,13 +109,9 @@ class QueryService {
   size_t peak_inflight() const {
     return peak_inflight_.load(std::memory_order_relaxed);
   }
-  uint64_t accepted() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-  uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
-  uint64_t deadline_exceeded() const {
-    return deadline_exceeded_.load(std::memory_order_relaxed);
-  }
+  uint64_t accepted() const { return accepted_.Get(); }
+  uint64_t shed() const { return shed_.Get(); }
+  uint64_t deadline_exceeded() const { return deadline_exceeded_.Get(); }
 
   /// Per-tenant accessors; all return 0 for unconfigured tenants
   /// (tenant_limit returns SIZE_MAX: only the global cap applies).
@@ -129,14 +125,18 @@ class QueryService {
   /// Per-tenant admission state, built once at construction for each
   /// configured quota (fixed set — per-tenant metric names stay bounded).
   struct TenantState {
-    size_t limit = 0;
+    TenantState(size_t limit, Counter* admitted_metric, Counter* shed_metric,
+                Gauge* inflight_metric)
+        : limit(limit),
+          admitted(admitted_metric),
+          shed(shed_metric),
+          inflight_metric(inflight_metric) {}
+    const size_t limit;
     std::atomic<size_t> inflight{0};
     std::atomic<size_t> peak{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> shed{0};
-    Counter* admitted_metric = nullptr;
-    Counter* shed_metric = nullptr;
-    Gauge* inflight_metric = nullptr;
+    Flow admitted;
+    Flow shed;
+    Gauge* const inflight_metric;
   };
 
   TenantState* FindTenant(uint32_t tenant_id) {
@@ -165,9 +165,9 @@ class QueryService {
 
   std::atomic<size_t> inflight_{0};
   std::atomic<size_t> peak_inflight_{0};
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
+  Flow accepted_;
+  Flow shed_;
+  Flow deadline_exceeded_;
 
   // Immutable after construction; values hold the mutable atomics.
   std::unordered_map<uint32_t, std::unique_ptr<TenantState>> tenants_;

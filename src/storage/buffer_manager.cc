@@ -29,7 +29,11 @@ BufferManager::BufferManager(SimDisk* disk, size_t capacity_bytes,
       ssd_disk_(tiers.ssd),
       hot_(CacheTier::kHot, tiers.hot_capacity_bytes, 1),
       dram_(CacheTier::kDram, capacity_bytes, kShards),
-      ssd_(CacheTier::kSsd, tiers.ssd_capacity_bytes, 1) {}
+      ssd_(CacheTier::kSsd, tiers.ssd_capacity_bytes, 1),
+      evicted_bytes_(StorageMetrics::Get().bm_evicted_bytes),
+      bytes_read_(StorageMetrics::Get().bm_bytes_read),
+      io_faults_(StorageMetrics::Get().io_faults),
+      coalesced_misses_(StorageMetrics::Get().bm_coalesced_misses) {}
 
 Result<BufferManager::PageGuard> BufferManager::FetchPinned(
     const Table* table, const StoredColumn* col, size_t chunk_idx) {
@@ -136,10 +140,10 @@ void BufferManager::ResetStats() {
   hot_.ResetStats();
   dram_.ResetStats();
   ssd_.ResetStats();
-  evicted_bytes_.store(0, std::memory_order_relaxed);
-  bytes_read_.store(0, std::memory_order_relaxed);
-  io_faults_.store(0, std::memory_order_relaxed);
-  coalesced_misses_.store(0, std::memory_order_relaxed);
+  evicted_bytes_.Reset();
+  bytes_read_.Reset();
+  io_faults_.Reset();
+  coalesced_misses_.Reset();
 }
 
 /// Pins `key`'s page and returns a guard on it when cached; an empty
@@ -162,10 +166,7 @@ BufferManager::PageGuard BufferManager::TryPinCached(const TierKey& key,
   return PageGuard(this, key, page);
 }
 
-void BufferManager::CountCoalesced() {
-  coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-  StorageMetrics::Get().bm_coalesced_misses->Increment();
-}
+void BufferManager::CountCoalesced() { coalesced_misses_.Add(); }
 
 /// The miss read path: charges the serving device per attempt and
 /// retries failed reads. A page resident in the SSD tier is served (and
@@ -175,7 +176,6 @@ void BufferManager::CountCoalesced() {
 Status BufferManager::ReadPage(const Table* table, const StoredColumn* col,
                                size_t chunk_idx, AlignedBuffer* page,
                                bool* owned) {
-  StorageMetrics& sm = StorageMetrics::Get();
   const TierKey key{col, chunk_idx};
   const AlignedBuffer& src = col->chunks[chunk_idx];
   // Tier resolution happens once per page read, not per retry: a read
@@ -231,13 +231,9 @@ Status BufferManager::ReadPage(const Table* table, const StoredColumn* col,
         SimDisk::TransferSeconds(dev->config(), unit_bytes) * 1e9);
     dram_.ObserveFault(sim_ns);
     if (ssd_enabled() && !from_ssd) ssd_.ObserveFault(sim_ns);
-    if (!from_ssd) {
-      bytes_read_.fetch_add(unit_bytes, std::memory_order_relaxed);
-      sm.bm_bytes_read->Add(unit_bytes);
-    }
+    if (!from_ssd) bytes_read_.Add(unit_bytes);
     if (!st.ok()) {
-      io_faults_.fetch_add(1, std::memory_order_relaxed);
-      sm.io_faults->Increment();
+      io_faults_.Add();
       last = st;
       continue;
     }
@@ -278,9 +274,12 @@ BufferManager::PageGuard BufferManager::Admit(const Table* table,
     for (size_t c = 0; c < table->column_count(); c++) {
       const StoredColumn* other = table->column(c);
       if (other == col) continue;
+      const TierKey sibling_key{other, chunk_idx};
+      // A resident sibling is not re-added, so it must not evict either.
+      if (dram_.Contains(sibling_key)) continue;
       const AlignedBuffer& sibling = other->chunks[chunk_idx];
       dram_.MakeSpace(sibling.size(), evicted);
-      dram_.Insert(TierKey{other, chunk_idx}, sibling.size(),
+      dram_.Insert(sibling_key, sibling.size(),
                    CachedPage{AlignedBuffer(), &sibling}, /*pin=*/false);
     }
   }
@@ -290,13 +289,11 @@ BufferManager::PageGuard BufferManager::Admit(const Table* table,
 /// A DRAM victim: counted, then demoted toward the SSD tier (writeback)
 /// outside every tier lock.
 void BufferManager::Evicted(TierCache<CachedPage>::Victim&& victim) {
-  StorageMetrics& sm = StorageMetrics::Get();
-  evicted_bytes_.fetch_add(victim.bytes, std::memory_order_relaxed);
-  sm.bm_evicted_bytes->Add(victim.bytes);
+  evicted_bytes_.Add(victim.bytes);
   // Victim age in LRU-clock ticks (touches since this entry was last
   // used). A distribution clustered near zero means churn: pages are
   // evicted almost as soon as they stop being used.
-  sm.bm_eviction_age->Observe(victim.age);
+  StorageMetrics::Get().bm_eviction_age->Observe(victim.age);
   DemoteToSsd(victim.key, victim.bytes);
 }
 

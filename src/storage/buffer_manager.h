@@ -268,30 +268,22 @@ class BufferManager {
   /// Cache entries dropped by LRU pressure since construction or the last
   /// ResetStats(), and the bytes they held.
   size_t evictions() const { return dram_.stats().evictions; }
-  size_t evicted_bytes() const {
-    return evicted_bytes_.load(std::memory_order_relaxed);
-  }
+  size_t evicted_bytes() const { return evicted_bytes_.Get(); }
   /// Bytes charged to the COLD device on cache misses (compressed bytes;
   /// the whole row group under PAX). SSD-tier charges are visible on
   /// ssd_disk() instead, so this stays equal to disk()->bytes_read() in
   /// every configuration.
-  size_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
+  size_t bytes_read() const { return bytes_read_.Get(); }
   /// Failed page-read attempts (injected I/O errors, truncations, and
   /// checksum mismatches) on ANY tier's device, including attempts that
   /// later succeeded on retry. Mirrors the storage.io_faults registry
   /// counter.
-  size_t io_faults() const {
-    return io_faults_.load(std::memory_order_relaxed);
-  }
+  size_t io_faults() const { return io_faults_.Get(); }
   /// Misses that joined another thread's in-flight read instead of
   /// charging the disk themselves. Every FetchPinned ends as exactly one
   /// hit, miss or coalesced miss, so hits() + misses() +
   /// coalesced_misses() == fetches. Mirrors storage.bm.coalesced_misses.
-  size_t coalesced_misses() const {
-    return coalesced_misses_.load(std::memory_order_relaxed);
-  }
+  size_t coalesced_misses() const { return coalesced_misses_.Get(); }
 
   /// Snapshot of one tier's counters (see TierStats for the invariant the
   /// property tests pin down). The storage.tier.<t>.* registry family
@@ -365,10 +357,10 @@ class BufferManager {
   std::unordered_map<TierKey, std::shared_ptr<InFlight>, TierKeyHash>
       inflight_;
 
-  std::atomic<size_t> evicted_bytes_{0};
-  std::atomic<size_t> bytes_read_{0};
-  std::atomic<size_t> io_faults_{0};
-  std::atomic<size_t> coalesced_misses_{0};
+  Flow evicted_bytes_;
+  Flow bytes_read_;
+  Flow io_faults_;
+  Flow coalesced_misses_;
 };
 
 }  // namespace scc

@@ -82,19 +82,21 @@ class TierCache {
 
   /// `shards` is a power of two. `tier` picks the registry handles.
   TierCache(CacheTier tier, size_t capacity_bytes, size_t shards)
-      : capacity_(capacity_bytes), mask_(shards - 1), shards_(shards) {
+      : capacity_(capacity_bytes),
+        mask_(shards - 1),
+        shards_(shards),
+        hits_(StorageMetrics::Get().tier_hits[size_t(tier)]),
+        misses_(StorageMetrics::Get().tier_misses[size_t(tier)]),
+        promotions_(StorageMetrics::Get().tier_promotions[size_t(tier)]),
+        writebacks_(StorageMetrics::Get().tier_writebacks[size_t(tier)]),
+        writeback_failures_(
+            StorageMetrics::Get().tier_writeback_failures[size_t(tier)]),
+        evictions_(StorageMetrics::Get().tier_evictions[size_t(tier)]),
+        resident_gauge_(
+            StorageMetrics::Get().tier_resident_bytes[size_t(tier)]),
+        fault_ns_(StorageMetrics::Get().tier_fault_ns[size_t(tier)]) {
     SCC_CHECK(shards > 0 && (shards & mask_) == 0,
               "TierCache shard count must be a power of two");
-    StorageMetrics& sm = StorageMetrics::Get();
-    const size_t t = size_t(tier);
-    hits_.reg = sm.tier_hits[t];
-    misses_.reg = sm.tier_misses[t];
-    promotions_.reg = sm.tier_promotions[t];
-    writebacks_.reg = sm.tier_writebacks[t];
-    writeback_failures_.reg = sm.tier_writeback_failures[t];
-    evictions_.reg = sm.tier_evictions[t];
-    resident_gauge_ = sm.tier_resident_bytes[t];
-    fault_ns_ = sm.tier_fault_ns[t];
   }
   TierCache(const TierCache&) = delete;
   TierCache& operator=(const TierCache&) = delete;
@@ -238,7 +240,7 @@ class TierCache {
   void ResetStats() {
     for (Flow* f : {&hits_, &misses_, &promotions_, &writebacks_,
                     &writeback_failures_, &evictions_}) {
-      f->n.store(0, std::memory_order_relaxed);
+      f->Reset();
     }
   }
 
@@ -287,17 +289,6 @@ class TierCache {
     Lru lru;
     std::unordered_map<TierKey, typename Lru::iterator, TierKeyHash> index;
   };
-  /// A per-object count beside its process-wide registry counter.
-  struct Flow {
-    std::atomic<size_t> n{0};
-    Counter* reg = nullptr;
-    void Add() {
-      n.fetch_add(1, std::memory_order_relaxed);
-      reg->Increment();
-    }
-    size_t Get() const { return n.load(std::memory_order_relaxed); }
-  };
-
   /// Caller holds sh.mu.
   void Touch(Shard& sh, typename Lru::iterator it) {
     sh.lru.splice(sh.lru.begin(), sh.lru, it);
@@ -332,8 +323,8 @@ class TierCache {
   std::atomic<size_t> resident_entries_{0};
   Flow hits_, misses_, promotions_, writebacks_, writeback_failures_,
       evictions_;
-  Gauge* resident_gauge_ = nullptr;
-  Histogram* fault_ns_ = nullptr;
+  Gauge* const resident_gauge_;
+  Histogram* const fault_ns_;
 };
 
 }  // namespace scc

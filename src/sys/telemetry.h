@@ -157,6 +157,27 @@ class Counter {
   Cell cells_[kMetricShards];
 };
 
+/// One object's count of an event beside the process-wide registry
+/// counter for it, both bumped by one Add(). The object's own count is
+/// exact whether or not metrics are enabled; the registry counter sums
+/// every object's events while they are.
+class Flow {
+ public:
+  explicit Flow(Counter* reg) : reg_(reg) {}
+
+  void Add(uint64_t n = 1) {
+    n_.fetch_add(n, std::memory_order_relaxed);
+    reg_->Add(n);
+  }
+  uint64_t Get() const { return n_.load(std::memory_order_relaxed); }
+  /// Zeroes this object's count; the registry keeps its total.
+  void Reset() { n_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> n_{0};
+  Counter* const reg_;
+};
+
 /// Point-in-time signed value (e.g. resident bytes). Not sharded: gauges
 /// are set at coarse granularity, not in codec loops.
 class Gauge {

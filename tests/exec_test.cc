@@ -461,6 +461,33 @@ TEST(ThreadPoolTest, TraceExportsPerOperationTreeWithQueueWaitRunSplit) {
 #endif
 }
 
+TEST(ThreadPoolTest, RegistryStealsMatchPoolSteals) {
+  // A steal is counted once, by one call, into both the pool's steals()
+  // and exec.steals. Workers spawn tasks onto their own deques, so idle
+  // workers steal them; over the bursts both counts move equally.
+#if !SCC_TELEMETRY
+  GTEST_SKIP() << "metrics compiled out (-DSCC_TELEMETRY=0)";
+#else
+  SetTelemetryEnabled(true);
+  ThreadPool pool(4);
+  const uint64_t reg_before = ExecMetrics::Get().steals->Value();
+  for (int burst = 0; burst < 1000 && pool.steals() == 0; burst++) {
+    pool.ParallelFor(4, [&](size_t) {
+      TaskGroup group(pool);
+      for (int i = 0; i < 64; i++) {
+        group.Run([] {
+          volatile uint64_t sink = 0;
+          for (int j = 0; j < 2000; j++) sink = sink + uint64_t(j);
+        });
+      }
+      group.Wait();
+    });
+  }
+  ASSERT_GT(pool.steals(), 0u);
+  EXPECT_EQ(ExecMetrics::Get().steals->Value() - reg_before, pool.steals());
+#endif
+}
+
 TEST(ThreadPoolTest, PoolHealthMetricsPopulate) {
   // exec.pool.* must fill in whenever telemetry is on: queue-wait and
   // run-time histograms get one observation per task, and the run time

@@ -921,6 +921,60 @@ TEST(ServiceTest, TenantQuotaStormIsolatesTenants) {
   EXPECT_EQ(svc.inflight(), 0u);
 }
 
+TEST(ServiceTest, RegistryCountsMatchAccessorsUnderShedStorm) {
+  // Each admission outcome is counted once, by one call, into both the
+  // service's accessor and its server.* registry counter: over a storm
+  // of tenant sheds and expired deadlines on one service, every registry
+  // counter moves exactly as far as the matching accessor.
+#if !SCC_TELEMETRY
+  GTEST_SKIP() << "metrics compiled out (-DSCC_TELEMETRY=0)";
+#else
+  SetTelemetryEnabled(true);
+  Fixture f;
+  ServiceOptions opts;
+  opts.max_inflight = 4;
+  opts.tenant_quotas = {{1, 3}, {2, 1}};  // limits 3 and 1
+  QueryService svc(&f.table, f.bm.get(), opts);
+  const std::string names[] = {
+      "server.accepted",          "server.shed",
+      "server.deadline_exceeded", "server.tenant.1.admitted",
+      "server.tenant.1.shed",     "server.tenant.2.admitted",
+      "server.tenant.2.shed"};
+  MetricsRegistry& reg = MetricsRegistry::Instance();
+  std::vector<uint64_t> before;
+  for (const std::string& n : names) {
+    before.push_back(reg.GetCounter(n).Value());
+  }
+
+  std::vector<std::thread> threads;
+  for (uint32_t tenant : {1u, 2u}) {
+    for (int t = 0; t < 4; t++) {
+      threads.emplace_back([&, tenant] {
+        for (int i = 0; i < 50; i++) {
+          Request req = ScanReq("id", "val", 0, 9000, 10);
+          req.tenant_id = tenant;
+          if (i % 2 == 1) req.deadline_micros = 1;  // expires mid-scan
+          svc.Execute(req);
+        }
+      });
+    }
+  }
+  for (std::thread& t : threads) t.join();
+
+  const uint64_t own[] = {svc.accepted(),          svc.shed(),
+                          svc.deadline_exceeded(), svc.tenant_admitted(1),
+                          svc.tenant_shed(1),      svc.tenant_admitted(2),
+                          svc.tenant_shed(2)};
+  for (size_t i = 0; i < std::size(names); i++) {
+    EXPECT_EQ(reg.GetCounter(names[i]).Value() - before[i], own[i])
+        << names[i];
+  }
+  EXPECT_GT(svc.tenant_shed(2), 0u);  // 4 threads racing into 1 slot
+  EXPECT_GT(svc.deadline_exceeded(), 0u);
+  EXPECT_EQ(svc.accepted() + svc.shed(), 400u);
+#endif
+}
+
 // --- reactor connection lifecycle ----------------------------------------
 
 TEST(ReactorTest, SequentialChurnReapsConnectionsAndThreads) {

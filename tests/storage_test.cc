@@ -1,5 +1,6 @@
 #include "storage/scan.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,32 @@ TEST(BufferManagerTest, PaxEvictionAccounting) {
   EXPECT_EQ(bm.evictions(), t.column_count());
   EXPECT_EQ(bm.evicted_bytes(), resident0);
   EXPECT_EQ(bm.bytes_read(), t.RowGroupBytes(0) + t.RowGroupBytes(1));
+}
+
+TEST(BufferManagerTest, PaxResidentSiblingsEvictNothing) {
+  // Three equal-sized columns, DRAM for five pages. When c0k1 is fetched
+  // last, its siblings c1k1 and c2k1 are resident and recently used, so
+  // admitting the row group needs room for one page, not three.
+  Table t(8192);
+  std::vector<int64_t> v(3 * 8192);
+  for (size_t i = 0; i < v.size(); i++) v[i] = int64_t(i);
+  for (const char* name : {"c0", "c1", "c2"}) {
+    ASSERT_TRUE(t.AddColumn<int64_t>(name, v, ColumnCompression::kNone).ok());
+  }
+  const size_t page = t.column(size_t(0))->chunks[0].size();
+  SimDisk disk;
+  BufferManager bm(&disk, 5 * page, Layout::kPAX);
+  auto fetch = [&](size_t c, size_t k) {
+    ASSERT_TRUE(bm.FetchPinned(&t, t.column(c), k).ok());
+  };
+  for (auto [c, k] : {std::pair<size_t, size_t>{0, 0},
+                      {0, 1}, {1, 1}, {2, 1}, {0, 2}, {1, 1}, {2, 1}}) {
+    fetch(c, k);
+  }
+  const size_t evictions = bm.evictions();
+  fetch(0, 1);
+  EXPECT_EQ(bm.evictions() - evictions, 1u);
+  EXPECT_EQ(bm.tier_stats(CacheTier::kDram).resident_entries, 5u);
 }
 
 TEST(BufferManagerTest, ItemLargerThanCapacityIsStillAdmitted) {

@@ -12,7 +12,8 @@
 #include "sys/perf_counters.h"
 
 // Telemetry subsystem tests: registry identity and exact totals under
-// concurrent sharded increments, snapshot/delta/export, span recording
+// concurrent sharded increments, per-object Flow counts beside their
+// registry counter, snapshot/delta/export, span recording
 // and nesting, and the disabled-mode no-op guarantees.
 //
 // The registry is process-global and shared across TEST cases, so every
@@ -68,6 +69,86 @@ TEST_F(TelemetryTest, CounterExactUnderConcurrentIncrements) {
   for (auto& th : threads) th.join();
   // Sharded relaxed adds must still sum exactly: no lost updates.
   EXPECT_EQ(c.Value(), uint64_t(kThreads) * kPerThread * 3);
+}
+
+// Registry asserts on Flow sit under SCC_TELEMETRY (counters are no-ops
+// in a -DSCC_TELEMETRY=0 tree); the per-object count must hold either way.
+
+TEST_F(TelemetryTest, FlowAddBumpsOwnCountAndRegistry) {
+  Counter& c = MetricsRegistry::Instance().GetCounter("test.flow.add");
+  c.Reset();
+  Flow f(&c);
+  EXPECT_EQ(f.Get(), 0u);
+  f.Add();
+  f.Add(4);
+  EXPECT_EQ(f.Get(), 5u);
+#if SCC_TELEMETRY
+  EXPECT_EQ(c.Value(), 5u);
+#endif
+}
+
+TEST_F(TelemetryTest, FlowResetZeroesOwnCountOnly) {
+  Counter& c = MetricsRegistry::Instance().GetCounter("test.flow.reset");
+  c.Reset();
+  Flow f(&c);
+  f.Add(3);
+  f.Reset();
+  EXPECT_EQ(f.Get(), 0u);
+  f.Add();
+  EXPECT_EQ(f.Get(), 1u);
+#if SCC_TELEMETRY
+  // The registry is a process total: an object's reset must not undo it.
+  EXPECT_EQ(c.Value(), 4u);
+#endif
+}
+
+TEST_F(TelemetryTest, FlowCountsExactlyWhileMetricsDisabled) {
+  Counter& c = MetricsRegistry::Instance().GetCounter("test.flow.disabled");
+  c.Reset();
+  Flow f(&c);
+  SetTelemetryEnabled(false);
+  f.Add(7);
+  EXPECT_EQ(f.Get(), 7u);
+  EXPECT_EQ(c.Value(), 0u);
+  SetTelemetryEnabled(true);
+  f.Add();
+  EXPECT_EQ(f.Get(), 8u);
+#if SCC_TELEMETRY
+  EXPECT_EQ(c.Value(), 1u);
+#endif
+}
+
+TEST_F(TelemetryTest, FlowsSharingACounterSumInRegistry) {
+  Counter& c = MetricsRegistry::Instance().GetCounter("test.flow.shared");
+  c.Reset();
+  Flow a(&c);
+  Flow b(&c);
+  a.Add(2);
+  b.Add(5);
+  EXPECT_EQ(a.Get(), 2u);
+  EXPECT_EQ(b.Get(), 5u);
+#if SCC_TELEMETRY
+  EXPECT_EQ(c.Value(), a.Get() + b.Get());
+#endif
+}
+
+TEST_F(TelemetryTest, FlowExactUnderConcurrentAdds) {
+  Counter& c = MetricsRegistry::Instance().GetCounter("test.flow.concurrent");
+  c.Reset();
+  Flow f(&c);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&f] {
+      for (uint64_t i = 0; i < kPerThread; i++) f.Add();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(f.Get(), uint64_t(kThreads) * kPerThread);
+#if SCC_TELEMETRY
+  EXPECT_EQ(c.Value(), f.Get());
+#endif
 }
 
 TEST_F(TelemetryTest, GaugeSetAndAdd) {

@@ -19,9 +19,9 @@
 // each connection's un-flushed response bytes before a slow reader is
 // disconnected.
 //
-// The synthetic table (--rows) has the scc_load/tail_latency column
-// shapes: sequential `id` (closed-form verifiable — workload_driver
-// --verify depends on it), zipf `code`, `price` with 1% outliers, and an
+// The synthetic table (--rows) has the scc_load column shapes:
+// sequential `id` (closed-form verifiable — workload_driver --verify
+// depends on it), zipf `code`, `price` with 1% outliers, and an
 // increasing `ts`. Default capacities keep the whole table DRAM-resident
 // (a serving tier, not a cold store); shrink --dram-mb to make the
 // tiers earn their keep.
