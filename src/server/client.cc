@@ -15,21 +15,6 @@ namespace server {
 
 namespace {
 
-bool ReadFull(int fd, void* buf, size_t n) {
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  while (n > 0) {
-    ssize_t r = ::recv(fd, p, n, 0);
-    if (r > 0) {
-      p += r;
-      n -= size_t(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 bool WriteFull(int fd, const void* buf, size_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(buf);
   while (n > 0) {
@@ -46,134 +31,6 @@ bool WriteFull(int fd, const void* buf, size_t n) {
 }
 
 }  // namespace
-
-Client& Client::operator=(Client&& o) noexcept {
-  if (this != &o) {
-    Close();
-    fd_ = o.fd_;
-    next_request_id_ = o.next_request_id_;
-    tenant_id_ = o.tenant_id_;
-    o.fd_ = -1;
-  }
-  return *this;
-}
-
-Result<Client> Client::Connect(const std::string& host, uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status st =
-        Status::IOError(std::string("connect: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  Client c;
-  c.fd_ = fd;
-  return c;
-}
-
-void Client::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Result<Response> Client::Call(const Request& req) {
-  if (fd_ < 0) return Status::IOError("client not connected");
-  std::vector<uint8_t> payload = EncodeRequest(req);
-  uint8_t header[4];
-  for (int i = 0; i < 4; i++) {
-    header[i] = uint8_t(uint32_t(payload.size()) >> (8 * i));
-  }
-  if (!WriteFull(fd_, header, sizeof(header)) ||
-      !WriteFull(fd_, payload.data(), payload.size())) {
-    Close();
-    return Status::IOError("connection lost while sending request");
-  }
-  if (!ReadFull(fd_, header, sizeof(header))) {
-    Close();
-    return Status::IOError("connection lost while awaiting response");
-  }
-  uint32_t n = 0;
-  for (int i = 0; i < 4; i++) n |= uint32_t(header[i]) << (8 * i);
-  if (n == 0 || n > kMaxFrameBytes) {
-    Close();
-    return Status::InvalidArgument("bad response frame length " +
-                                   std::to_string(n));
-  }
-  std::vector<uint8_t> body(n);
-  if (!ReadFull(fd_, body.data(), n)) {
-    Close();
-    return Status::IOError("connection lost mid-response");
-  }
-  return DecodeResponse(body.data(), body.size());
-}
-
-Result<Response> Client::Point(const std::string& column, uint64_t row,
-                               uint64_t deadline_micros) {
-  Request req;
-  req.type = RequestType::kPoint;
-  req.request_id = next_request_id_++;
-  req.deadline_micros = deadline_micros;
-  req.tenant_id = tenant_id_;
-  req.column = column;
-  req.row = row;
-  return Call(req);
-}
-
-Result<Response> Client::Scan(const std::string& column,
-                              const std::string& filter_column, int64_t lo,
-                              int64_t hi, uint64_t limit,
-                              uint64_t deadline_micros) {
-  Request req;
-  req.type = RequestType::kScan;
-  req.request_id = next_request_id_++;
-  req.deadline_micros = deadline_micros;
-  req.tenant_id = tenant_id_;
-  req.column = column;
-  req.filter_column = filter_column;
-  req.lo = lo;
-  req.hi = hi;
-  req.limit = limit;
-  return Call(req);
-}
-
-Result<Response> Client::Aggregate(AggOp op, const std::string& column,
-                                   const std::string& filter_column,
-                                   int64_t lo, int64_t hi,
-                                   uint64_t deadline_micros) {
-  Request req;
-  req.type = RequestType::kAggregate;
-  req.agg_op = op;
-  req.request_id = next_request_id_++;
-  req.deadline_micros = deadline_micros;
-  req.tenant_id = tenant_id_;
-  req.column = column;
-  req.filter_column = filter_column;
-  req.lo = lo;
-  req.hi = hi;
-  return Call(req);
-}
-
-Result<Response> Client::TableInfo() {
-  Request req;
-  req.type = RequestType::kTableInfo;
-  req.request_id = next_request_id_++;
-  req.tenant_id = tenant_id_;
-  return Call(req);
-}
 
 // --- PipelinedClient ----------------------------------------------------
 
@@ -266,15 +123,12 @@ Result<Response> PipelinedClient::Next() {
   // place. Bulk recv: one syscall typically delivers many frames.
   for (;;) {
     if (rbuf_.size() - rpos_ >= 4) {
-      uint32_t n = 0;
-      for (int i = 0; i < 4; i++) {
-        n |= uint32_t(rbuf_[rpos_ + i]) << (8 * i);
-      }
-      if (n == 0 || n > kMaxFrameBytes) {
+      Result<uint32_t> len = ReadFrameHeader(rbuf_.data() + rpos_);
+      if (!len.ok()) {
         Close();
-        return Status::InvalidArgument("bad response frame length " +
-                                       std::to_string(n));
+        return len.status();
       }
+      const uint32_t n = len.ValueOrDie();
       if (rbuf_.size() - rpos_ - 4 >= n) {
         Result<Response> resp = DecodeResponse(rbuf_.data() + rpos_ + 4, n);
         rpos_ += 4 + n;
@@ -299,6 +153,69 @@ Result<Response> PipelinedClient::Next() {
     Close();
     return Status::IOError("connection lost while awaiting response");
   }
+}
+
+// --- Client -------------------------------------------------------------
+
+Result<Client> Client::Connect(const std::string& host, uint16_t port) {
+  Client c;
+  SCC_ASSIGN_OR_RETURN(c.conn_, PipelinedClient::Connect(host, port));
+  return c;
+}
+
+Result<Response> Client::Call(const Request& req) {
+  SCC_RETURN_NOT_OK(conn_.Send(req).status());
+  return conn_.Next();
+}
+
+Result<Response> Client::Point(const std::string& column, uint64_t row,
+                               uint64_t deadline_micros) {
+  Request req;
+  req.type = RequestType::kPoint;
+  req.deadline_micros = deadline_micros;
+  req.tenant_id = tenant_id_;
+  req.column = column;
+  req.row = row;
+  return Call(req);
+}
+
+Result<Response> Client::Scan(const std::string& column,
+                              const std::string& filter_column, int64_t lo,
+                              int64_t hi, uint64_t limit,
+                              uint64_t deadline_micros) {
+  Request req;
+  req.type = RequestType::kScan;
+  req.deadline_micros = deadline_micros;
+  req.tenant_id = tenant_id_;
+  req.column = column;
+  req.filter_column = filter_column;
+  req.lo = lo;
+  req.hi = hi;
+  req.limit = limit;
+  return Call(req);
+}
+
+Result<Response> Client::Aggregate(AggOp op, const std::string& column,
+                                   const std::string& filter_column,
+                                   int64_t lo, int64_t hi,
+                                   uint64_t deadline_micros) {
+  Request req;
+  req.type = RequestType::kAggregate;
+  req.agg_op = op;
+  req.deadline_micros = deadline_micros;
+  req.tenant_id = tenant_id_;
+  req.column = column;
+  req.filter_column = filter_column;
+  req.lo = lo;
+  req.hi = hi;
+  return Call(req);
+}
+
+Result<Response> Client::TableInfo() {
+  Request req;
+  req.type = RequestType::kTableInfo;
+  req.tenant_id = tenant_id_;
+  return Call(req);
 }
 
 }  // namespace server

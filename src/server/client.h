@@ -6,13 +6,7 @@
 
 #include "server/protocol.h"
 
-// scc_serve clients.
-//
-// Client: one TCP connection, one outstanding request at a time (Call
-// writes a frame, then reads the matching response frame). Concurrency
-// comes from running many clients — the workload driver gives each
-// closed-loop client its own connection, exactly how a service mesh
-// would fan out.
+// scc_serve clients, both on one connection type.
 //
 // PipelinedClient: one TCP connection, many outstanding requests. Send()
 // writes a frame without waiting; Next() blocks for whichever response
@@ -23,54 +17,20 @@
 // flight per connection and sustains several times the closed-loop
 // throughput at the same client count.
 //
-// Both clients stamp every request with set_tenant_id()'s value
-// (protocol v2); the default tenant 0 is subject only to the global
-// admission cap.
+// Client: a PipelinedClient with one request outstanding. Call() is
+// Send() then Next(), so each request costs one send() and its response
+// is the only one that can arrive. Concurrency comes from running many
+// clients — the workload driver gives each closed-loop client its own
+// connection, exactly how a service mesh would fan out.
+//
+// Both clients auto-assign a zero request_id. PipelinedClient stamps its
+// set_tenant_id() value onto requests that carry tenant 0; Client's
+// convenience wrappers stamp its tenant, and Call() sends the tenant as
+// given. The default tenant 0 is subject only to the global admission
+// cap.
 
 namespace scc {
 namespace server {
-
-class Client {
- public:
-  Client() = default;
-  Client(Client&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
-  Client& operator=(Client&& o) noexcept;
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  ~Client() { Close(); }
-
-  /// Connects to a running server. IOError on refusal/bad address.
-  static Result<Client> Connect(const std::string& host, uint16_t port);
-
-  /// Sends `req` and blocks for its response. IOError if the connection
-  /// drops mid-call (the connection is unusable afterwards).
-  Result<Response> Call(const Request& req);
-
-  bool connected() const { return fd_ >= 0; }
-  void Close();
-
-  /// Admission-quota bucket stamped onto requests built by the
-  /// convenience wrappers below (Call sends req.tenant_id as given).
-  void set_tenant_id(uint32_t tenant_id) { tenant_id_ = tenant_id; }
-  uint32_t tenant_id() const { return tenant_id_; }
-
-  // Convenience wrappers (request_id auto-assigned).
-  Result<Response> Point(const std::string& column, uint64_t row,
-                         uint64_t deadline_micros = 0);
-  Result<Response> Scan(const std::string& column,
-                        const std::string& filter_column, int64_t lo,
-                        int64_t hi, uint64_t limit,
-                        uint64_t deadline_micros = 0);
-  Result<Response> Aggregate(AggOp op, const std::string& column,
-                             const std::string& filter_column, int64_t lo,
-                             int64_t hi, uint64_t deadline_micros = 0);
-  Result<Response> TableInfo();
-
- private:
-  int fd_ = -1;
-  uint64_t next_request_id_ = 1;
-  uint32_t tenant_id_ = 0;
-};
 
 /// Pipelined connection: decoupled Send()/Next(). Responses arrive in
 /// completion order — match them to sends via Response::request_id.
@@ -83,18 +43,7 @@ class Client {
 class PipelinedClient {
  public:
   PipelinedClient() = default;
-  PipelinedClient(PipelinedClient&& o) noexcept
-      : fd_(o.fd_),
-        next_request_id_(o.next_request_id_),
-        tenant_id_(o.tenant_id_),
-        outstanding_(o.outstanding_),
-        sbuf_(std::move(o.sbuf_)),
-        rbuf_(std::move(o.rbuf_)),
-        rpos_(o.rpos_) {
-    o.fd_ = -1;
-    o.outstanding_ = 0;
-    o.rpos_ = 0;
-  }
+  PipelinedClient(PipelinedClient&& o) noexcept { *this = std::move(o); }
   PipelinedClient& operator=(PipelinedClient&& o) noexcept;
   PipelinedClient(const PipelinedClient&) = delete;
   PipelinedClient& operator=(const PipelinedClient&) = delete;
@@ -135,6 +84,42 @@ class PipelinedClient {
   std::vector<uint8_t> sbuf_;  // corked request frames, not yet sent
   std::vector<uint8_t> rbuf_;  // response reassembly buffer
   size_t rpos_ = 0;            // consumed prefix of rbuf_
+};
+
+/// One request at a time over a PipelinedClient.
+class Client {
+ public:
+  /// Connects to a running server. IOError on refusal/bad address.
+  static Result<Client> Connect(const std::string& host, uint16_t port);
+
+  /// Sends `req` and blocks for its response. A zero req.request_id is
+  /// auto-assigned; req.tenant_id is sent as given. IOError if the
+  /// connection drops mid-call (the connection is unusable afterwards).
+  Result<Response> Call(const Request& req);
+
+  bool connected() const { return conn_.connected(); }
+  void Close() { conn_.Close(); }
+
+  /// Admission-quota bucket stamped onto requests built by the
+  /// convenience wrappers below.
+  void set_tenant_id(uint32_t tenant_id) { tenant_id_ = tenant_id; }
+  uint32_t tenant_id() const { return tenant_id_; }
+
+  // Convenience wrappers (request_id auto-assigned).
+  Result<Response> Point(const std::string& column, uint64_t row,
+                         uint64_t deadline_micros = 0);
+  Result<Response> Scan(const std::string& column,
+                        const std::string& filter_column, int64_t lo,
+                        int64_t hi, uint64_t limit,
+                        uint64_t deadline_micros = 0);
+  Result<Response> Aggregate(AggOp op, const std::string& column,
+                             const std::string& filter_column, int64_t lo,
+                             int64_t hi, uint64_t deadline_micros = 0);
+  Result<Response> TableInfo();
+
+ private:
+  PipelinedClient conn_;
+  uint32_t tenant_id_ = 0;
 };
 
 }  // namespace server

@@ -18,11 +18,16 @@
 //
 // All integers are little-endian. Strings are u16 length + raw bytes.
 // The encoding is deliberately positional (no tags): the protocol is
-// versioned as a whole via the leading version byte, and unknown
-// versions/types are rejected with InvalidArgument before any work is
-// admitted. Decoders are bounds-checked at every read — a truncated or
-// hostile frame yields Status, never an out-of-bounds read (the same
-// contract the segment corruption battery pins for stored bytes).
+// versioned as a whole via the leading version byte, and any version
+// but kProtocolVersion, or an unknown type, is rejected with
+// InvalidArgument before any work is admitted. Decoders are
+// bounds-checked at every read — a truncated or hostile frame yields
+// Status, never an out-of-bounds read (the same contract the segment
+// corruption battery pins for stored bytes).
+//
+// Each message has one body writer (AppendRequest, AppendResponse) and
+// one framed encoder on top of it; AppendFrame writes and
+// ReadFrameHeader checks the length prefix for both directions.
 
 namespace scc {
 namespace server {
@@ -32,13 +37,11 @@ namespace server {
 /// cannot balloon memory.
 constexpr uint32_t kMaxFrameBytes = 1u << 24;
 
-/// Version 2 adds a `u32 tenant_id` to every request (after
-/// `deadline_micros`), feeding per-tenant admission quotas. Version-1
-/// frames are still accepted — they decode with tenant 0, the default
-/// tenant — so old clients keep working across the bump; see the
-/// compatibility table in docs/SERVICE.md.
+/// The one request version the server accepts. Version 2 added a
+/// `u32 tenant_id` to every request (after `deadline_micros`), feeding
+/// per-tenant admission quotas. A version-1 frame is an unsupported
+/// version like any other; see the table in docs/SERVICE.md.
 constexpr uint8_t kProtocolVersion = 2;
-constexpr uint8_t kMinProtocolVersion = 1;
 
 enum class RequestType : uint8_t {
   kPoint = 1,      // one value by (column, row) — tiered ReadValue
@@ -62,7 +65,7 @@ struct Request {
   AggOp agg_op = AggOp::kNone;
   uint64_t request_id = 0;
   uint64_t deadline_micros = 0;
-  /// Admission-quota bucket (protocol v2; v1 frames decode as tenant 0).
+  /// Admission-quota bucket.
   /// Tenants with a configured quota are capped at their weighted share
   /// of max_inflight; tenant 0 / unconfigured tenants share the global
   /// cap only.
@@ -148,6 +151,10 @@ class ByteReader {
   Status String(std::string* s) {
     uint16_t len = 0;
     SCC_RETURN_NOT_OK(U16(&len));
+    return Bytes(s, len);
+  }
+  /// Reads `len` raw bytes into `s`.
+  Status Bytes(std::string* s, size_t len) {
     if (size_ - pos_ < len) return Truncated();
     s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
@@ -176,57 +183,38 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Wraps an encoded payload in its wire framing (u32 length prefix +
-/// bytes) — one contiguous buffer, ready for send()/writev().
-inline std::vector<uint8_t> FrameMessage(const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + payload.size());
-  AppendU32(&out, uint32_t(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+// --- frames -------------------------------------------------------------
+
+/// Appends one frame to `out`: a u32 length prefix, then whatever
+/// `write_body()` appends to `out`, the prefix patched once the size is
+/// known. Many frames can be corked into one buffer this way.
+template <typename WriteBody>
+inline void AppendFrame(std::vector<uint8_t>* out, WriteBody&& write_body) {
+  const size_t frame_at = out->size();
+  AppendU32(out, 0);  // length placeholder
+  write_body();
+  const uint32_t n = uint32_t(out->size() - frame_at - 4);
+  for (int i = 0; i < 4; i++) {
+    (*out)[frame_at + size_t(i)] = uint8_t(n >> (8 * i));
+  }
+}
+
+/// Reads the u32 length prefix at `p` (4 bytes). InvalidArgument unless
+/// 0 < length <= kMaxFrameBytes: a stream with a bad prefix is out of
+/// sync, and nothing that follows on it can be trusted.
+inline Result<uint32_t> ReadFrameHeader(const uint8_t* p) {
+  uint32_t n = 0;
+  for (int i = 0; i < 4; i++) n |= uint32_t(p[i]) << (8 * i);
+  if (n == 0 || n > kMaxFrameBytes) {
+    return Status::InvalidArgument("bad frame length " + std::to_string(n));
+  }
+  return n;
 }
 
 // --- request encoding ---------------------------------------------------
 
-inline std::vector<uint8_t> EncodeRequest(const Request& req) {
-  std::vector<uint8_t> out;
-  AppendU8(&out, kProtocolVersion);
-  AppendU8(&out, uint8_t(req.type));
-  AppendU8(&out, uint8_t(req.agg_op));
-  AppendU8(&out, 0);  // flags, reserved
-  AppendU64(&out, req.request_id);
-  AppendU64(&out, req.deadline_micros);
-  AppendU32(&out, req.tenant_id);
-  AppendString(&out, req.column);
-  switch (req.type) {
-    case RequestType::kPoint:
-      AppendU64(&out, req.row);
-      break;
-    case RequestType::kScan:
-      AppendString(&out, req.filter_column);
-      AppendI64(&out, req.lo);
-      AppendI64(&out, req.hi);
-      AppendU64(&out, req.limit);
-      break;
-    case RequestType::kAggregate:
-      AppendString(&out, req.filter_column);
-      AppendI64(&out, req.lo);
-      AppendI64(&out, req.hi);
-      break;
-    case RequestType::kTableInfo:
-      break;
-  }
-  return out;
-}
-
-/// Appends `req`'s wire frame (u32 length prefix + payload) directly onto
-/// `out` — no intermediate buffer. PipelinedClient corks many sends into
-/// one buffer, so encoding in place saves an allocation and a copy per
-/// request.
-inline void EncodeRequestFramedInto(const Request& req,
-                                    std::vector<uint8_t>* out) {
-  const size_t frame_at = out->size();
-  AppendU32(out, 0);  // length placeholder, patched below
+/// Appends `req`'s payload (no length prefix).
+inline void AppendRequest(const Request& req, std::vector<uint8_t>* out) {
   AppendU8(out, kProtocolVersion);
   AppendU8(out, uint8_t(req.type));
   AppendU8(out, uint8_t(req.agg_op));
@@ -253,17 +241,20 @@ inline void EncodeRequestFramedInto(const Request& req,
     case RequestType::kTableInfo:
       break;
   }
-  const uint32_t n = uint32_t(out->size() - frame_at - 4);
-  for (int i = 0; i < 4; i++) {
-    (*out)[frame_at + size_t(i)] = uint8_t(n >> (8 * i));
-  }
+}
+
+/// Appends `req`'s wire frame directly onto `out`. PipelinedClient corks
+/// many requests into one send buffer this way.
+inline void EncodeRequestFramedInto(const Request& req,
+                                    std::vector<uint8_t>* out) {
+  AppendFrame(out, [&] { AppendRequest(req, out); });
 }
 
 inline Result<Request> DecodeRequest(const uint8_t* data, size_t size) {
   ByteReader r(data, size);
   uint8_t version = 0, type = 0, agg = 0, flags = 0;
   SCC_RETURN_NOT_OK(r.U8(&version));
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return Status::InvalidArgument("unsupported protocol version " +
                                    std::to_string(version));
   }
@@ -280,7 +271,7 @@ inline Result<Request> DecodeRequest(const uint8_t* data, size_t size) {
   req.agg_op = AggOp(agg);
   SCC_RETURN_NOT_OK(r.U64(&req.request_id));
   SCC_RETURN_NOT_OK(r.U64(&req.deadline_micros));
-  if (version >= 2) SCC_RETURN_NOT_OK(r.U32(&req.tenant_id));
+  SCC_RETURN_NOT_OK(r.U32(&req.tenant_id));
   SCC_RETURN_NOT_OK(r.String(&req.column));
   switch (req.type) {
     case RequestType::kPoint:
@@ -309,77 +300,43 @@ inline Result<Request> DecodeRequest(const uint8_t* data, size_t size) {
 
 // --- response encoding --------------------------------------------------
 
-inline std::vector<uint8_t> EncodeResponse(const Response& resp) {
-  std::vector<uint8_t> out;
-  AppendU64(&out, resp.request_id);
-  AppendU8(&out, uint8_t(resp.code));
-  AppendU8(&out, uint8_t(resp.type));
-  AppendU16(&out, 0);  // reserved
+/// Appends `resp`'s payload (no length prefix).
+inline void AppendResponse(const Response& resp, std::vector<uint8_t>* out) {
+  AppendU64(out, resp.request_id);
+  AppendU8(out, uint8_t(resp.code));
+  AppendU8(out, uint8_t(resp.type));
+  AppendU16(out, 0);  // reserved
   if (resp.code != StatusCode::kOk) {
-    AppendU32(&out, uint32_t(resp.error.size()));
-    out.insert(out.end(), resp.error.begin(), resp.error.end());
-    return out;
+    AppendU32(out, uint32_t(resp.error.size()));
+    out->insert(out->end(), resp.error.begin(), resp.error.end());
+    return;
   }
   switch (resp.type) {
     case RequestType::kPoint:
     case RequestType::kAggregate:
-      AppendI64(&out, resp.value);
+      AppendI64(out, resp.value);
       break;
     case RequestType::kScan:
-      AppendU64(&out, resp.total_matches);
-      AppendU64(&out, uint64_t(resp.values.size()));
-      for (int64_t v : resp.values) AppendI64(&out, v);
+      AppendU64(out, resp.total_matches);
+      AppendU64(out, uint64_t(resp.values.size()));
+      for (int64_t v : resp.values) AppendI64(out, v);
       break;
     case RequestType::kTableInfo:
-      AppendU64(&out, resp.rows);
-      AppendU32(&out, uint32_t(resp.columns.size()));
+      AppendU64(out, resp.rows);
+      AppendU32(out, uint32_t(resp.columns.size()));
       for (const ColumnInfo& c : resp.columns) {
-        AppendString(&out, c.name);
-        AppendU8(&out, c.type);
+        AppendString(out, c.name);
+        AppendU8(out, c.type);
       }
       break;
   }
-  return out;
 }
 
-/// EncodeResponse with the u32 length prefix built in place — one buffer,
-/// one allocation, ready for send()/writev(). The server's response path
-/// uses this instead of FrameMessage(EncodeResponse(...)) to avoid a
-/// second allocation + copy per response.
+/// `resp`'s wire frame in one buffer, ready for send()/writev().
 inline std::vector<uint8_t> EncodeResponseFramed(const Response& resp) {
   std::vector<uint8_t> out;
   out.reserve(64);
-  AppendU32(&out, 0);  // length placeholder, patched below
-  AppendU64(&out, resp.request_id);
-  AppendU8(&out, uint8_t(resp.code));
-  AppendU8(&out, uint8_t(resp.type));
-  AppendU16(&out, 0);  // reserved
-  if (resp.code != StatusCode::kOk) {
-    AppendU32(&out, uint32_t(resp.error.size()));
-    out.insert(out.end(), resp.error.begin(), resp.error.end());
-  } else {
-    switch (resp.type) {
-      case RequestType::kPoint:
-      case RequestType::kAggregate:
-        AppendI64(&out, resp.value);
-        break;
-      case RequestType::kScan:
-        AppendU64(&out, resp.total_matches);
-        AppendU64(&out, uint64_t(resp.values.size()));
-        for (int64_t v : resp.values) AppendI64(&out, v);
-        break;
-      case RequestType::kTableInfo:
-        AppendU64(&out, resp.rows);
-        AppendU32(&out, uint32_t(resp.columns.size()));
-        for (const ColumnInfo& c : resp.columns) {
-          AppendString(&out, c.name);
-          AppendU8(&out, c.type);
-        }
-        break;
-    }
-  }
-  const uint32_t n = uint32_t(out.size() - 4);
-  for (int i = 0; i < 4; i++) out[size_t(i)] = uint8_t(n >> (8 * i));
+  AppendFrame(&out, [&] { AppendResponse(resp, &out); });
   return out;
 }
 
@@ -402,15 +359,7 @@ inline Result<Response> DecodeResponse(const uint8_t* data, size_t size) {
   if (resp.code != StatusCode::kOk) {
     uint32_t len = 0;
     SCC_RETURN_NOT_OK(r.U32(&len));
-    if (r.remaining() < len) {
-      return Status::InvalidArgument("truncated frame");
-    }
-    resp.error.resize(len);
-    for (uint32_t i = 0; i < len; i++) {
-      uint8_t b = 0;
-      SCC_RETURN_NOT_OK(r.U8(&b));
-      resp.error[i] = char(b);
-    }
+    SCC_RETURN_NOT_OK(r.Bytes(&resp.error, len));
     return resp;
   }
   switch (resp.type) {

@@ -52,30 +52,28 @@ Status Server::Start() {
   if (listen_fd_ < 0) {
     return Status::IOError(std::string("socket: ") + std::strerror(errno));
   }
+  // Every failure below closes the listener it leaves behind.
+  auto fail = [this](Status st) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return st;
+  };
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address: " + options_.host);
+    return fail(Status::InvalidArgument("bad listen address: " +
+                                        options_.host));
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    Status st =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
+    return fail(Status::IOError(std::string("bind: ") + std::strerror(errno)));
   }
   if (::listen(listen_fd_, 1024) < 0) {
-    Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
+    return fail(
+        Status::IOError(std::string("listen: ") + std::strerror(errno)));
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -99,9 +97,7 @@ Status Server::Start() {
         ::close(prev->wake_fd);
       }
       reactors_.clear();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return st;
+      return fail(st);
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -226,11 +222,8 @@ void Server::HandleAccept() {
       ::close(fd);
       continue;
     }
-    // Publish the gauge from the RMW's own return value: two concurrent
-    // accept/close events can never leave a stale count behind.
-    const size_t now =
-        open_connections_.fetch_add(1, std::memory_order_relaxed) + 1;
-    sm.connections->Set(int64_t(now));
+    open_connections_.fetch_add(1, std::memory_order_relaxed);
+    sm.connections->Add(1);  // process-wide sum
   }
 }
 
@@ -241,13 +234,15 @@ void Server::CloseNow(const std::shared_ptr<Conn>& conn) {
     r.conns.erase(conn->id);
   }
   std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->fd >= 0) {
-    ::close(conn->fd);  // also deregisters from epoll
-    conn->fd = -1;
-    const size_t now =
-        open_connections_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    ServerMetrics::Get().connections->Set(int64_t(now));
-  }
+  CloseFdLocked(conn.get());
+}
+
+void Server::CloseFdLocked(Conn* conn) {
+  if (conn->fd < 0) return;
+  ::close(conn->fd);  // also deregisters from epoll
+  conn->fd = -1;
+  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  ServerMetrics::Get().connections->Add(-1);  // process-wide sum
 }
 
 void Server::ScheduleClose(const std::shared_ptr<Conn>& conn) {
@@ -362,14 +357,18 @@ void Server::QueueResponse(const std::shared_ptr<Conn>& conn,
   }
 }
 
+bool Server::DrainedLocked(const Conn& conn) {
+  return conn.read_closed.load(std::memory_order_acquire) &&
+         conn.pending.load(std::memory_order_acquire) == 0 &&
+         conn.write_q.empty() && conn.fd >= 0 && !conn.close_scheduled;
+}
+
 void Server::OnTaskDone(const std::shared_ptr<Conn>& conn) {
   if (conn->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     bool reap = false;
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      reap = conn->read_closed.load(std::memory_order_acquire) &&
-             conn->write_q.empty() && conn->fd >= 0 &&
-             !conn->close_scheduled;
+      reap = DrainedLocked(*conn);
     }
     // Peer EOF'd while we were still computing; everything is answered
     // and flushed now, so the connection can go.
@@ -391,19 +390,23 @@ void Server::DispatchFrames(const std::shared_ptr<Conn>& conn) {
   constexpr size_t kFramesPerTask = 16;
   std::vector<std::pair<Request, double>> admitted;
   bool framing_broken = false;
+  // A frame that does not parse is answered with request_id 0.
+  auto answer_error = [&](const Status& st) {
+    Response resp;
+    resp.code = st.code();
+    resp.error = st.message();
+    QueueResponse(conn, resp);
+  };
   std::vector<uint8_t>& rbuf = conn->rbuf;
   while (rbuf.size() - conn->rpos >= 4) {
     const uint8_t* p = rbuf.data() + conn->rpos;
-    uint32_t n = 0;
-    for (int i = 0; i < 4; i++) n |= uint32_t(p[i]) << (8 * i);
-    if (n == 0 || n > kMaxFrameBytes) {
-      Response resp;
-      resp.code = StatusCode::kInvalidArgument;
-      resp.error = "bad frame length " + std::to_string(n);
-      QueueResponse(conn, resp);
+    Result<uint32_t> len = ReadFrameHeader(p);
+    if (!len.ok()) {
+      answer_error(len.status());
       framing_broken = true;  // stream is out of sync; nothing can follow
       break;
     }
+    const uint32_t n = len.ValueOrDie();
     if (rbuf.size() - conn->rpos - 4 < n) break;  // partial frame: wait
     sm.bytes_in->Add(4 + uint64_t(n));
     sm.reactor_frames->Increment();
@@ -411,11 +414,8 @@ void Server::DispatchFrames(const std::shared_ptr<Conn>& conn) {
     conn->rpos += 4 + n;
     if (!decoded.ok()) {
       // Length framing held, so the stream is still in sync: answer the
-      // bad frame and keep serving (request_id 0 — it never decoded).
-      Response resp;
-      resp.code = decoded.status().code();
-      resp.error = decoded.status().message();
-      QueueResponse(conn, resp);
+      // bad frame and keep serving.
+      answer_error(decoded.status());
       continue;
     }
     Request req = decoded.MoveValueOrDie();
@@ -515,8 +515,7 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
   bool drained;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    drained = conn->write_q.empty() &&
-              conn->pending.load(std::memory_order_acquire) == 0;
+    drained = DrainedLocked(*conn);
   }
   // Half-closed peers keep receiving until their in-flight queries are
   // answered; OnTaskDone/HandleWritable reap the connection when the
@@ -541,9 +540,7 @@ void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
                     &ev);
         conn->epollout_armed = false;
       }
-      reap = conn->read_closed.load(std::memory_order_acquire) &&
-             conn->pending.load(std::memory_order_acquire) == 0 &&
-             !conn->close_scheduled;
+      reap = DrainedLocked(*conn);
     }
   }
   if (write_error) {
@@ -598,7 +595,6 @@ void Server::Stop() {
   for (auto& r : reactors_) {
     if (r->thread.joinable()) r->thread.join();
   }
-  ServerMetrics& sm = ServerMetrics::Get();
   for (auto& r : reactors_) {
     std::unordered_map<uint64_t, std::shared_ptr<Conn>> left;
     {
@@ -607,13 +603,7 @@ void Server::Stop() {
     }
     for (auto& [id, c] : left) {
       std::lock_guard<std::mutex> lock(c->mu);
-      if (c->fd >= 0) {
-        ::close(c->fd);
-        c->fd = -1;
-        const size_t now =
-            open_connections_.fetch_sub(1, std::memory_order_relaxed) - 1;
-        sm.connections->Set(int64_t(now));
-      }
+      CloseFdLocked(c.get());
     }
     ::close(r->epfd);
     ::close(r->wake_fd);

@@ -161,9 +161,15 @@ class Server {
   void ScheduleClose(const std::shared_ptr<Conn>& conn);
   /// Reactor-thread-only: unregisters and closes the fd now.
   void CloseNow(const std::shared_ptr<Conn>& conn);
+  /// Closes conn->fd if it is open and drops it from the connection
+  /// counts. Requires conn->mu held.
+  void CloseFdLocked(Conn* conn);
   /// Pool-task completion: drops the pending count and reaps the
   /// connection if it finished draining after peer EOF.
   void OnTaskDone(const std::shared_ptr<Conn>& conn);
+  /// True once a peer-EOF'd connection has nothing left to answer or
+  /// flush and no close underway: it can be reaped. Requires conn.mu.
+  static bool DrainedLocked(const Conn& conn);
   void ArmWritableLocked(Conn* conn);
   void WakeReactor(size_t idx);
 

@@ -16,10 +16,16 @@ namespace server {
 
 namespace {
 
-Response ErrorResponse(const Request& req, const Status& st) {
+/// A reply to `req` with its id and type and no payload yet.
+Response ReplyTo(const Request& req) {
   Response resp;
   resp.request_id = req.request_id;
   resp.type = req.type;
+  return resp;
+}
+
+Response ErrorResponse(const Request& req, const Status& st) {
+  Response resp = ReplyTo(req);
   resp.code = st.code();
   resp.error = st.message();
   return resp;
@@ -34,21 +40,24 @@ Status CheckDeadline(double deadline_micros) {
   return Status::OK();
 }
 
-/// Per-slot scan/aggregate accumulator. A slot's visitor calls are
-/// sequential (one thread at a time), and within a morsel the vectors
-/// arrive in offset order, so tracking (morsel, offset) here recovers
-/// the global row id ParallelScan's visitor doesn't carry.
-struct SlotAcc {
+using RowValue = std::pair<uint64_t, int64_t>;  // (global row, value)
+
+/// One slot's share of the filtered fold, on its own cache line: its
+/// worker writes it once per value. A slot's visitor calls are
+/// sequential (one thread at a time), the slot claims morsels in
+/// increasing order, and a morsel yields its vectors in offset order. So
+/// tracking (morsel, offset) here recovers the global row id that
+/// ParallelScan's visitor does not carry, and the slot's matches arrive
+/// sorted by row.
+struct alignas(64) SlotAcc {
   size_t morsel = SIZE_MAX;
   size_t off = 0;
 
   uint64_t matches = 0;
-  std::vector<std::pair<uint64_t, int64_t>> rows;  // (global row, value)
-  bool collect = false;
-
   uint64_t sum = 0;  // wrapping: deterministic under any interleaving
   int64_t min = std::numeric_limits<int64_t>::max();
   int64_t max = std::numeric_limits<int64_t>::min();
+  std::vector<RowValue> rows;  // the slot's first `cap` matches
 
   /// Advances the (morsel, offset) cursor for a batch of `rows` values
   /// and returns the batch's global row base.
@@ -62,35 +71,61 @@ struct SlotAcc {
     return base;
   }
 
-  void Fold(int64_t v, uint64_t row) {
-    matches++;
-    sum += uint64_t(v);
-    min = std::min(min, v);
-    max = std::max(max, v);
-    if (collect) rows.emplace_back(row, v);
+  /// Folds one batch's matches: v[sel->idx[i]], or each of the batch's
+  /// `batch_rows` values when `sel` is null. Keeps (row, value) while the
+  /// slot holds fewer than `cap`; counts and folds every match.
+  template <typename T>
+  void Fold(const T* v, const SelVec* sel, size_t batch_rows, uint64_t base,
+            uint64_t cap) {
+    const size_t n = sel != nullptr ? sel->count : batch_rows;
+    auto at = [&](size_t i) -> size_t {
+      return sel != nullptr ? sel->idx[i] : i;
+    };
+    for (size_t i = 0; i < n && matches + i < cap; i++) {
+      rows.emplace_back(base + at(i), int64_t(v[at(i)]));
+    }
+    uint64_t s = sum;
+    int64_t lo = min, hi = max;
+    for (size_t i = 0; i < n; i++) {
+      const int64_t x = int64_t(v[at(i)]);
+      s += uint64_t(x);
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    sum = s;
+    min = lo;
+    max = hi;
+    matches += n;
   }
 };
 
-/// Reads batch value `i` of column 0 widened to int64 (the batch's
-/// vector has the column's native type).
-int64_t ValueAt(const Batch& batch, TypeId type, size_t i) {
-  return DispatchType(type, [&](auto tag) -> int64_t {
-    using T = decltype(tag);
-    if constexpr (std::is_integral_v<T>) {
-      return int64_t(batch.columns[0]->data<T>()[i]);
-    } else {
-      return 0;  // unreachable: float columns are rejected at resolve
-    }
-  });
+}  // namespace
+
+bool QueryService::Slots::Take() {
+  size_t cur = held.load(std::memory_order_relaxed);
+  do {
+    if (cur >= limit) return false;
+  } while (!held.compare_exchange_weak(cur, cur + 1,
+                                       std::memory_order_acq_rel));
+  size_t p = peak.load(std::memory_order_relaxed);
+  while (cur + 1 > p &&
+         !peak.compare_exchange_weak(p, cur + 1, std::memory_order_relaxed)) {
+  }
+  gauge->Add(1);
+  return true;
 }
 
-}  // namespace
+void QueryService::Slots::Release() {
+  held.fetch_sub(1, std::memory_order_acq_rel);
+  gauge->Add(-1);
+}
 
 QueryService::QueryService(const Table* table, BufferManager* bm,
                            ServiceOptions options)
     : table_(table),
       bm_(bm),
       options_(std::move(options)),
+      inflight_(options_.max_inflight, ServerMetrics::Get().inflight),
       accepted_(ServerMetrics::Get().accepted),
       shed_(ServerMetrics::Get().shed),
       deadline_exceeded_(ServerMetrics::Get().deadline_exceeded) {
@@ -116,72 +151,38 @@ QueryService::QueryService(const Table* table, BufferManager* bm,
 }
 
 bool QueryService::TryAdmit(uint32_t tenant_id) {
-  ServerMetrics& sm = ServerMetrics::Get();
   // Tenant share first: a tenant at its quota is shed without touching
   // the global count, so it cannot starve other tenants' CAS traffic.
   TenantState* ts = FindTenant(tenant_id);
-  if (ts != nullptr) {
-    size_t cur = ts->inflight.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cur >= ts->limit) {
-        ts->shed.Add();
-        shed_.Add();
-        return false;
-      }
-      if (ts->inflight.compare_exchange_weak(cur, cur + 1,
-                                             std::memory_order_acq_rel)) {
-        break;
-      }
-    }
-    const size_t tnow = cur + 1;
-    size_t tpeak = ts->peak.load(std::memory_order_relaxed);
-    while (tnow > tpeak && !ts->peak.compare_exchange_weak(
-                               tpeak, tnow, std::memory_order_relaxed)) {
-    }
+  if (ts != nullptr && !ts->slots.Take()) {
+    ts->shed.Add();
+    shed_.Add();
+    return false;
   }
-  size_t cur = inflight_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur >= options_.max_inflight) {
-      if (ts != nullptr) {
-        ts->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        ts->shed.Add();
-      }
-      shed_.Add();
-      return false;
+  if (!inflight_.Take()) {
+    if (ts != nullptr) {
+      ts->slots.Release();  // roll the tenant's share back
+      ts->shed.Add();
     }
-    if (inflight_.compare_exchange_weak(cur, cur + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
+    shed_.Add();
+    return false;
   }
   accepted_.Add();
-  sm.inflight->Set(int64_t(inflight_.load(std::memory_order_relaxed)));
-  if (ts != nullptr) {
-    ts->admitted.Add();
-    ts->inflight_metric->Set(
-        int64_t(ts->inflight.load(std::memory_order_relaxed)));
-  }
-  // Racy max update: good enough for the overload tests, which drive the
-  // peak from a single storm and assert it never exceeds the limit.
-  size_t peak = peak_inflight_.load(std::memory_order_relaxed);
-  const size_t now = cur + 1;
-  while (now > peak && !peak_inflight_.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
+  if (ts != nullptr) ts->admitted.Add();
   return true;
 }
 
 size_t QueryService::tenant_limit(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
-  return ts != nullptr ? ts->limit : SIZE_MAX;
+  return ts != nullptr ? ts->slots.limit : SIZE_MAX;
 }
 size_t QueryService::tenant_inflight(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
-  return ts != nullptr ? ts->inflight.load(std::memory_order_relaxed) : 0;
+  return ts != nullptr ? ts->slots.held.load(std::memory_order_relaxed) : 0;
 }
 size_t QueryService::tenant_peak_inflight(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
-  return ts != nullptr ? ts->peak.load(std::memory_order_relaxed) : 0;
+  return ts != nullptr ? ts->slots.peak.load(std::memory_order_relaxed) : 0;
 }
 uint64_t QueryService::tenant_shed(uint32_t tenant_id) const {
   const TenantState* ts = FindTenant(tenant_id);
@@ -231,13 +232,8 @@ Response QueryService::ExecuteAdmitted(const Request& req,
   if (timed) {
     sm.e2e_ns->Observe(uint64_t((TraceNowMicros() - start_us) * 1000.0));
   }
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  sm.inflight->Set(int64_t(inflight_.load(std::memory_order_relaxed)));
-  if (TenantState* ts = FindTenant(req.tenant_id)) {
-    ts->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    ts->inflight_metric->Set(
-        int64_t(ts->inflight.load(std::memory_order_relaxed)));
-  }
+  inflight_.Release();
+  if (TenantState* ts = FindTenant(req.tenant_id)) ts->slots.Release();
   return resp;
 }
 
@@ -296,9 +292,7 @@ Response QueryService::HandlePoint(const Request& req,
   if (Status st = CheckDeadline(deadline_micros); !st.ok()) {
     return ErrorResponse(req, st);
   }
-  Response resp;
-  resp.request_id = req.request_id;
-  resp.type = req.type;
+  Response resp = ReplyTo(req);
   Status st = DispatchType(col.ValueOrDie()->type, [&](auto tag) -> Status {
     using T = decltype(tag);
     if constexpr (std::is_integral_v<T>) {
@@ -314,100 +308,34 @@ Response QueryService::HandlePoint(const Request& req,
   return resp;
 }
 
-Response QueryService::HandleScan(const Request& req, double deadline_micros) {
-  Result<const StoredColumn*> value_col = ResolveColumn(req.column);
-  if (!value_col.ok()) return ErrorResponse(req, value_col.status());
-  if (req.filter_column.empty()) {
-    return ErrorResponse(
-        req, Status::InvalidArgument("scan requires a filter column"));
-  }
-  Result<const StoredColumn*> filter_col = ResolveColumn(req.filter_column);
-  if (!filter_col.ok()) return ErrorResponse(req, filter_col.status());
-  if (req.lo > req.hi) {
-    return ErrorResponse(
-        req, Status::InvalidArgument("scan range is empty (lo > hi)"));
+Result<QueryService::Folded> QueryService::Fold(const Request& req,
+                                                uint64_t cap,
+                                                double deadline_micros) {
+  const bool is_scan = req.type == RequestType::kScan;
+  SCC_ASSIGN_OR_RETURN(const StoredColumn* value_col,
+                       ResolveColumn(req.column));
+  const bool filtered = !req.filter_column.empty();
+  if (filtered) {
+    SCC_RETURN_NOT_OK(ResolveColumn(req.filter_column).status());
+    if (req.lo > req.hi) {
+      return Status::InvalidArgument(
+          std::string(is_scan ? "scan" : "aggregate") +
+          " range is empty (lo > hi)");
+    }
+  } else if (is_scan) {
+    return Status::InvalidArgument("scan requires a filter column");
   }
 
   // Column 0 carries the values; the filter column rides along only when
   // distinct (pushdown needs it in the scanned set).
-  std::vector<std::string> cols{req.column};
-  if (req.filter_column != req.column) cols.push_back(req.filter_column);
-
-  ParallelScanOptions opts;
-  opts.threads = options_.scan_threads;
-  opts.trace_label = "server.scan.morsels";
-  opts.cancel_check = [deadline_micros] {
-    return CheckDeadline(deadline_micros);
-  };
-  ParallelScan scan(table_, bm_, cols, opts);
-  scan.SetPushdownBetween(req.filter_column, req.lo, req.hi);
-
-  const size_t chunk_values = table_->chunk_values();
-  const TypeId vtype = value_col.ValueOrDie()->type;
-  std::vector<SlotAcc> slots(scan.slot_count());
-  for (SlotAcc& s : slots) s.collect = true;
-  Status st = scan.Run([&](const Batch& batch, size_t morsel, size_t slot) {
-    SlotAcc& acc = slots[slot];
-    const uint64_t base = acc.Advance(morsel, chunk_values, batch.rows);
-    const SelVec& sel = scan.selection(slot);
-    for (size_t i = 0; i < sel.count; i++) {
-      acc.Fold(ValueAt(batch, vtype, sel.idx[i]), base + sel.idx[i]);
-    }
-  });
-  if (!st.ok()) return ErrorResponse(req, st);
-
-  // Deterministic response independent of thread count and morsel
-  // interleaving: merge per-slot hits, order by global row, then cap.
-  std::vector<std::pair<uint64_t, int64_t>> all;
-  uint64_t total = 0;
-  for (SlotAcc& s : slots) {
-    total += s.matches;
-    all.insert(all.end(), s.rows.begin(), s.rows.end());
-  }
-  std::sort(all.begin(), all.end());
-  const uint64_t cap = std::min<uint64_t>(req.limit, options_.max_scan_rows);
-  Response resp;
-  resp.request_id = req.request_id;
-  resp.type = req.type;
-  resp.total_matches = total;
-  resp.values.reserve(size_t(std::min<uint64_t>(cap, all.size())));
-  for (size_t i = 0; i < all.size() && i < cap; i++) {
-    resp.values.push_back(all[i].second);
-  }
-  ServerMetrics::Get().scan_rows_returned->Add(resp.values.size());
-  return resp;
-}
-
-Response QueryService::HandleAggregate(const Request& req,
-                                       double deadline_micros) {
-  Result<const StoredColumn*> agg_col = ResolveColumn(req.column);
-  if (!agg_col.ok()) return ErrorResponse(req, agg_col.status());
-  const bool filtered = !req.filter_column.empty();
-  if (filtered) {
-    Result<const StoredColumn*> f = ResolveColumn(req.filter_column);
-    if (!f.ok()) return ErrorResponse(req, f.status());
-    if (req.lo > req.hi) {
-      return ErrorResponse(
-          req, Status::InvalidArgument("aggregate range is empty (lo > hi)"));
-    }
-  }
-
-  // Unfiltered COUNT is schema math, not a scan.
-  if (!filtered && req.agg_op == AggOp::kCount) {
-    Response resp;
-    resp.request_id = req.request_id;
-    resp.type = req.type;
-    resp.value = int64_t(agg_col.ValueOrDie()->rows);
-    return resp;
-  }
-
   std::vector<std::string> cols{req.column};
   if (filtered && req.filter_column != req.column) {
     cols.push_back(req.filter_column);
   }
   ParallelScanOptions opts;
   opts.threads = options_.scan_threads;
-  opts.trace_label = "server.aggregate.morsels";
+  opts.trace_label =
+      is_scan ? "server.scan.morsels" : "server.aggregate.morsels";
   opts.cancel_check = [deadline_micros] {
     return CheckDeadline(deadline_micros);
   };
@@ -415,60 +343,89 @@ Response QueryService::HandleAggregate(const Request& req,
   if (filtered) scan.SetPushdownBetween(req.filter_column, req.lo, req.hi);
 
   const size_t chunk_values = table_->chunk_values();
-  const TypeId vtype = agg_col.ValueOrDie()->type;
   std::vector<SlotAcc> slots(scan.slot_count());
-  Status st = scan.Run([&](const Batch& batch, size_t morsel, size_t slot) {
-    SlotAcc& acc = slots[slot];
-    const uint64_t base = acc.Advance(morsel, chunk_values, batch.rows);
-    if (filtered) {
-      const SelVec& sel = scan.selection(slot);
-      for (size_t i = 0; i < sel.count; i++) {
-        acc.Fold(ValueAt(batch, vtype, sel.idx[i]), base + sel.idx[i]);
-      }
-    } else {
-      for (size_t i = 0; i < batch.rows; i++) {
-        acc.Fold(ValueAt(batch, vtype, i), base + i);
-      }
-    }
-  });
-  if (!st.ok()) return ErrorResponse(req, st);
+  SCC_RETURN_NOT_OK(
+      scan.Run([&](const Batch& batch, size_t morsel, size_t slot) {
+        SlotAcc& acc = slots[slot];
+        const uint64_t base = acc.Advance(morsel, chunk_values, batch.rows);
+        const SelVec* sel = filtered ? &scan.selection(slot) : nullptr;
+        DispatchType(value_col->type, [&](auto tag) {
+          using T = decltype(tag);
+          if constexpr (std::is_integral_v<T>) {  // floats fail to resolve
+            acc.Fold(batch.columns[0]->template data<T>(), sel, batch.rows,
+                     base, cap);
+          }
+        });
+      }));
 
-  SlotAcc merged;
+  Folded out;
+  std::vector<RowValue> first;  // the slots' runs merged, cut at `cap`
   for (const SlotAcc& s : slots) {
-    merged.matches += s.matches;
-    merged.sum += s.sum;
-    merged.min = std::min(merged.min, s.min);
-    merged.max = std::max(merged.max, s.max);
+    out.matches += s.matches;
+    out.sum += s.sum;
+    out.min = std::min(out.min, s.min);
+    out.max = std::max(out.max, s.max);
+    std::vector<RowValue> merged(first.size() + s.rows.size());
+    std::merge(first.begin(), first.end(), s.rows.begin(), s.rows.end(),
+               merged.begin());
+    merged.resize(std::min<size_t>(merged.size(), cap));
+    first.swap(merged);
   }
-  Response resp;
-  resp.request_id = req.request_id;
-  resp.type = req.type;
+  out.values.reserve(first.size());
+  for (const RowValue& rv : first) out.values.push_back(rv.second);
+  return out;
+}
+
+Response QueryService::HandleScan(const Request& req, double deadline_micros) {
+  const uint64_t cap = std::min<uint64_t>(req.limit, options_.max_scan_rows);
+  Result<Folded> fold = Fold(req, cap, deadline_micros);
+  if (!fold.ok()) return ErrorResponse(req, fold.status());
+  Response resp = ReplyTo(req);
+  resp.total_matches = fold.ValueOrDie().matches;
+  resp.values = std::move(fold.ValueOrDie().values);
+  ServerMetrics::Get().scan_rows_returned->Add(resp.values.size());
+  return resp;
+}
+
+Response QueryService::HandleAggregate(const Request& req,
+                                       double deadline_micros) {
+  if (req.agg_op == AggOp::kNone) {
+    return ErrorResponse(req, Status::InvalidArgument("missing aggregate op"));
+  }
+  Response resp = ReplyTo(req);
+  // Unfiltered COUNT is schema math, not a scan.
+  if (req.filter_column.empty() && req.agg_op == AggOp::kCount) {
+    Result<const StoredColumn*> col = ResolveColumn(req.column);
+    if (!col.ok()) return ErrorResponse(req, col.status());
+    resp.value = int64_t(col.ValueOrDie()->rows);
+    return resp;
+  }
+  Result<Folded> fold = Fold(req, /*cap=*/0, deadline_micros);
+  if (!fold.ok()) return ErrorResponse(req, fold.status());
+  const Folded& f = fold.ValueOrDie();
   switch (req.agg_op) {
     case AggOp::kSum:
-      resp.value = int64_t(merged.sum);
+      resp.value = int64_t(f.sum);
       break;
     case AggOp::kCount:
-      resp.value = int64_t(merged.matches);
+      resp.value = int64_t(f.matches);
       break;
     case AggOp::kMin:
     case AggOp::kMax:
-      if (merged.matches == 0) {
+      if (f.matches == 0) {
         return ErrorResponse(
             req, Status::OutOfRange("aggregate over empty selection"));
       }
-      resp.value = req.agg_op == AggOp::kMin ? merged.min : merged.max;
+      resp.value = req.agg_op == AggOp::kMin ? f.min : f.max;
       break;
     case AggOp::kNone:
-      return ErrorResponse(req,
-                           Status::InvalidArgument("missing aggregate op"));
+      break;  // answered above
   }
   return resp;
 }
 
 Response QueryService::HandleTableInfo(const Request& req) {
-  Response resp;
-  resp.request_id = req.request_id;
-  resp.type = req.type;
+  Response resp = ReplyTo(req);
   resp.rows = table_->rows();
   for (size_t c = 0; c < table_->column_count(); c++) {
     const StoredColumn* col = table_->column(c);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -22,10 +23,12 @@
 //  * Range scans and filtered aggregates route through ParallelScan with
 //    compressed-domain BETWEEN pushdown (SegmentReader::SelectBetween):
 //    min/max-disqualified groups are never decoded.
-//  * Aggregates fold per-slot partials (SUM in wrapping uint64, COUNT,
-//    MIN, MAX) — all commutative, so results are deterministic across
-//    thread counts and morsel interleavings. Scan responses are sorted
-//    by row id before truncation to `limit` for the same reason.
+//  * Both run one filtered fold (Fold): per-slot partials (SUM in
+//    wrapping uint64, COUNT, MIN, MAX), all commutative, so results are
+//    deterministic across thread counts and morsel interleavings. A scan
+//    caps each slot at cap = min(limit, max_scan_rows) rows, kept in row
+//    order, and merges the slots' runs by row id; it counts every match,
+//    so total_matches stays exact while its memory is O(slots x cap).
 //
 // Admission control: at most max_inflight admitted queries exist at any
 // instant, and tenants with a configured quota are additionally capped
@@ -35,7 +38,7 @@
 // atomics — a shed request costs no decode work, no allocation, no lock
 // (the overload tests pin the codec counters at zero across a shed
 // storm). Tenant 0 (and any tenant without a quota entry) is only
-// subject to the global cap, which keeps v1 clients working unchanged.
+// subject to the global cap.
 //
 // Deadlines: each admitted query gets a relative budget (request's
 // deadline_micros, else the server default; 0 = none). The budget is
@@ -59,8 +62,8 @@ struct ServiceOptions {
   /// beyond it are shed with Status::Unavailable.
   size_t max_inflight = 64;
   /// Per-tenant weighted quotas (empty = every tenant shares the global
-  /// cap only — pre-v2 behavior). Tenants absent from the list are
-  /// admitted under the global cap alone.
+  /// cap only). Tenants absent from the list are admitted under the
+  /// global cap alone.
   std::vector<TenantQuota> tenant_quotas;
   /// Default per-query budget in µs when the request carries none.
   /// 0 = no deadline.
@@ -104,10 +107,10 @@ class QueryService {
   // Test/ops accessors (per-service; the server.* registry family is
   // process-wide).
   size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
+    return inflight_.held.load(std::memory_order_relaxed);
   }
   size_t peak_inflight() const {
-    return peak_inflight_.load(std::memory_order_relaxed);
+    return inflight_.peak.load(std::memory_order_relaxed);
   }
   uint64_t accepted() const { return accepted_.Get(); }
   uint64_t shed() const { return shed_.Get(); }
@@ -122,28 +125,44 @@ class QueryService {
   uint64_t tenant_admitted(uint32_t tenant_id) const;
 
  private:
+  /// In-flight slots under one limit, with the most ever held at once:
+  /// the global admission count and each tenant's share are one each.
+  struct Slots {
+    Slots(size_t limit, Gauge* gauge) : limit(limit), gauge(gauge) {}
+    /// Takes a slot unless all `limit` are held. Lock-free.
+    bool Take();
+    void Release();
+    const size_t limit;
+    std::atomic<size_t> held{0};
+    std::atomic<size_t> peak{0};
+    Gauge* const gauge;  // process-wide: every Slots adds its changes
+  };
+
   /// Per-tenant admission state, built once at construction for each
   /// configured quota (fixed set — per-tenant metric names stay bounded).
   struct TenantState {
     TenantState(size_t limit, Counter* admitted_metric, Counter* shed_metric,
                 Gauge* inflight_metric)
-        : limit(limit),
+        : slots(limit, inflight_metric),
           admitted(admitted_metric),
-          shed(shed_metric),
-          inflight_metric(inflight_metric) {}
-    const size_t limit;
-    std::atomic<size_t> inflight{0};
-    std::atomic<size_t> peak{0};
+          shed(shed_metric) {}
+    Slots slots;
     Flow admitted;
     Flow shed;
-    Gauge* const inflight_metric;
   };
 
-  TenantState* FindTenant(uint32_t tenant_id) {
-    auto it = tenants_.find(tenant_id);
-    return it == tenants_.end() ? nullptr : it->second.get();
-  }
-  const TenantState* FindTenant(uint32_t tenant_id) const {
+  /// What the filtered fold leaves: every match counted and folded, and
+  /// the first `cap` matching values in row order.
+  struct Folded {
+    uint64_t matches = 0;
+    uint64_t sum = 0;  // wrapping
+    int64_t min = std::numeric_limits<int64_t>::max();
+    int64_t max = std::numeric_limits<int64_t>::min();
+    std::vector<int64_t> values;
+  };
+
+  /// Null for an unconfigured tenant (tenants_ is fixed; see there).
+  TenantState* FindTenant(uint32_t tenant_id) const {
     auto it = tenants_.find(tenant_id);
     return it == tenants_.end() ? nullptr : it->second.get();
   }
@@ -154,6 +173,14 @@ class QueryService {
   Response HandleAggregate(const Request& req, double deadline_micros);
   Response HandleTableInfo(const Request& req);
 
+  /// The one scan under kScan and kAggregate: resolves and validates
+  /// req's columns, runs one ParallelScan with req's BETWEEN filter
+  /// pushed down (an aggregate without a filter column folds every row)
+  /// and folds its matches. Each slot keeps at most `cap` of them, so the
+  /// fold holds O(slots x cap) rows however many match.
+  Result<Folded> Fold(const Request& req, uint64_t cap,
+                      double deadline_micros);
+
   /// Resolves `name` to a column the integer query paths can serve, or
   /// an error status (unknown name, or a float column — the compressed
   /// scan kernels are integer-domain).
@@ -163,8 +190,7 @@ class QueryService {
   BufferManager* bm_;
   ServiceOptions options_;
 
-  std::atomic<size_t> inflight_{0};
-  std::atomic<size_t> peak_inflight_{0};
+  Slots inflight_;
   Flow accepted_;
   Flow shed_;
   Flow deadline_exceeded_;

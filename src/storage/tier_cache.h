@@ -28,7 +28,8 @@
 //    the cache overcommits rather than refuse an insert.
 //  * Counters. The tier's TierStats live here once, and every event is
 //    recorded by one call into both the per-object count and its
-//    storage.tier.<t>.* registry handle.
+//    storage.tier.<t>.* registry handle. The resident_bytes gauge takes
+//    each cache's deltas, so it sums every live cache of the tier.
 
 namespace scc {
 
@@ -100,6 +101,11 @@ class TierCache {
   }
   TierCache(const TierCache&) = delete;
   TierCache& operator=(const TierCache&) = delete;
+  /// Takes what the tier still holds out of the process-wide gauge.
+  ~TierCache() {
+    resident_gauge_->Add(
+        -int64_t(resident_bytes_.load(std::memory_order_relaxed)));
+  }
 
   size_t capacity() const { return capacity_; }
   size_t ShardOf(const TierKey& key) const {
@@ -196,10 +202,8 @@ class TierCache {
                             clock_.fetch_add(1, std::memory_order_relaxed)});
     sh.index.emplace(key, sh.lru.begin());
     Entry& e = sh.lru.front();
-    resident_entries_.fetch_add(1, std::memory_order_relaxed);
-    resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    Resize(1, int64_t(bytes));
     promotions_.Add();
-    SetGauge();
     return {&e.value, true};
   }
 
@@ -229,12 +233,12 @@ class TierCache {
   void Clear() {
     for (Shard& sh : shards_) {
       std::lock_guard<std::mutex> lock(sh.mu);
+      int64_t bytes = 0;
+      for (const Entry& e : sh.lru) bytes += int64_t(e.bytes);
+      Resize(-int64_t(sh.lru.size()), -bytes);
       sh.index.clear();
       sh.lru.clear();
     }
-    resident_entries_.store(0, std::memory_order_relaxed);
-    resident_bytes_.store(0, std::memory_order_relaxed);
-    SetGauge();
   }
   /// Zeroes the flow counters but keeps the entries.
   void ResetStats() {
@@ -303,16 +307,17 @@ class TierCache {
   }
   /// Caller holds sh.mu. Removes the entry as an eviction.
   void Unlink(Shard& sh, typename Lru::iterator it) {
-    resident_entries_.fetch_sub(1, std::memory_order_relaxed);
-    resident_bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
+    Resize(-1, -int64_t(it->bytes));
     evictions_.Add();
     sh.index.erase(it->key);
     sh.lru.erase(it);
-    SetGauge();
   }
-  void SetGauge() {
-    resident_gauge_->Set(
-        int64_t(resident_bytes_.load(std::memory_order_relaxed)));
+  /// Moves the residency counts, and the process-wide gauge that sums
+  /// every TierCache of this tier, by the same delta.
+  void Resize(int64_t entries, int64_t bytes) {
+    resident_entries_.fetch_add(size_t(entries), std::memory_order_relaxed);
+    resident_bytes_.fetch_add(size_t(bytes), std::memory_order_relaxed);
+    resident_gauge_->Add(bytes);
   }
 
   const size_t capacity_;

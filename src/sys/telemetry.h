@@ -179,16 +179,24 @@ class Flow {
 };
 
 /// Point-in-time signed value (e.g. resident bytes). Not sharded: gauges
-/// are set at coarse granularity, not in codec loops.
+/// are set at coarse granularity, not in codec loops. A gauge that
+/// several objects share is a process-wide sum: each object Adds its own
+/// deltas, never Sets its own value over the others'.
 class Gauge {
  public:
   void Set(int64_t v) {
     if (!TelemetryEnabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
+  /// Applied even while metrics are disabled at run time (only compiling
+  /// metrics out drops it): a sum that missed one delta would stay wrong
+  /// after metrics are enabled again.
   void Add(int64_t delta) {
-    if (!TelemetryEnabled()) return;
+#if SCC_TELEMETRY
     value_.fetch_add(delta, std::memory_order_relaxed);
+#else
+    (void)delta;
+#endif
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }

@@ -302,7 +302,7 @@ TEST_F(TelemetryTest, NestedSpansRecordedWithContainment) {
       SCC_TRACE_SPAN("test.span.inner");
       // Make the inner span non-zero length.
       volatile uint64_t sink = 0;
-      for (int i = 0; i < 10000; i++) sink += uint64_t(i);
+      for (int i = 0; i < 10000; i++) sink = sink + uint64_t(i);
     }
   }
   SetTraceEnabled(false);

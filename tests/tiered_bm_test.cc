@@ -1,6 +1,7 @@
 #include "storage/buffer_manager.h"
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -500,6 +501,32 @@ TEST(TieredBM, DisabledTiersCountNothing) {
     EXPECT_GT(moved("storage.tier.dram.misses"), 0);
   }
 }
+
+#if SCC_TELEMETRY
+// storage.tier.<t>.resident_bytes is one process-wide gauge: every live
+// manager's tier adds its own deltas to it, and takes what it still
+// holds back out when it is destroyed.
+TEST(TieredBM, ResidencyGaugeSumsEveryManager) {
+  TestData d = MakeData(60000);
+  Gauge& dram = MetricsRegistry::Instance().GetGauge(
+      "storage.tier.dram.resident_bytes");
+  const int64_t before = dram.Value();
+  SimDisk disk;
+  auto x = std::make_unique<BufferManager>(&disk, d.t.ByteSize() + 1,
+                                           Layout::kDSM);
+  BufferManager y(&disk, d.t.ByteSize() + 1, Layout::kDSM);
+  (void)ScanChecksum(d.t, x.get(), 2);  // every page
+  ASSERT_EQ(y.ReadValue<int64_t>(&d.t, d.t.column("b"), 0).ValueOrDie(),
+            d.b[0]);  // one page
+  const size_t x_bytes = x->resident_bytes();
+  const size_t y_bytes = y.resident_bytes();
+  ASSERT_GT(y_bytes, 0u);
+  ASSERT_GT(x_bytes, y_bytes);
+  EXPECT_EQ(dram.Value() - before, int64_t(x_bytes + y_bytes));
+  x.reset();
+  EXPECT_EQ(dram.Value() - before, int64_t(y_bytes));
+}
+#endif
 
 TEST(TieredBM, TpchQ1Q6ChecksumsMatchUntieredAt25PctDram) {
   const TpchData data = GenerateTpch(0.01);
