@@ -16,12 +16,6 @@
 //                                 global injection queue
 //   exec.scan.morsels             morsels processed by parallel scans
 //   exec.scan.rows                rows emitted by parallel scans
-//   exec.scan.prefetches          pages enqueued by the async prefetcher
-//   exec.scan.prefetch_suppressed scans whose read-ahead was disabled
-//                                 because the buffer manager's DRAM tier
-//                                 cannot hold the in-flight working set
-//                                 (read-ahead would evict pages before
-//                                 their demand fetch — pure thrash)
 //
 // Pool health family (docs/OBSERVABILITY.md), fed by thread_pool.cc:
 //   exec.pool.queue_depth         gauge: injection-queue backlog
@@ -42,8 +36,6 @@ struct ExecMetrics {
   Counter* queue_overflow;
   Counter* scan_morsels;
   Counter* scan_rows;
-  Counter* scan_prefetches;
-  Counter* scan_prefetch_suppressed;
   Gauge* pool_queue_depth;
   Counter* pool_idle_ns;
   Histogram* pool_queue_wait_ns;
@@ -60,9 +52,6 @@ struct ExecMetrics {
       em->queue_overflow = &reg.GetCounter("exec.queue.overflow");
       em->scan_morsels = &reg.GetCounter("exec.scan.morsels");
       em->scan_rows = &reg.GetCounter("exec.scan.rows");
-      em->scan_prefetches = &reg.GetCounter("exec.scan.prefetches");
-      em->scan_prefetch_suppressed =
-          &reg.GetCounter("exec.scan.prefetch_suppressed");
       em->pool_queue_depth = &reg.GetGauge("exec.pool.queue_depth");
       em->pool_idle_ns = &reg.GetCounter("exec.pool.idle_ns");
       em->pool_queue_wait_ns = &reg.GetHistogram("exec.pool.queue_wait_ns");

@@ -10,8 +10,7 @@ namespace scc {
 
 ParallelScan::ParallelScan(const Table* table, BufferManager* bm,
                            std::vector<std::string> columns, Options options)
-    : table_(table), bm_(bm), pool_(ThreadPool::Instance()),
-      options_(options) {
+    : pool_(ThreadPool::Instance()), options_(options) {
   SCC_CHECK(table->chunk_values() % kVectorSize == 0,
             "chunk size must be a multiple of the vector size");
   for (const std::string& name : columns) {
@@ -26,25 +25,6 @@ ParallelScan::ParallelScan(const Table* table, BufferManager* bm,
   }
   if (morsels_ != 0 && slots > morsels_) slots = unsigned(morsels_);
   slots_ = slots == 0 ? 1 : slots;
-  // Thrash guard for tiered/tiny buffer pools: read-ahead only pays off
-  // when the DRAM tier can hold the in-flight working set — the pages
-  // pinned by active workers PLUS the prefetch window. Below that, a
-  // prefetched page is evicted (and, with an SSD tier, written back)
-  // before its demand fetch arrives, so every morsel is fetched twice.
-  // Estimate the working set from average compressed chunk sizes and
-  // fall back to demand fetching when it cannot fit.
-  if (options_.prefetch_depth > 0 && morsels_ != 0) {
-    size_t morsel_bytes = 0;
-    for (const StoredColumn* col : cols_) {
-      morsel_bytes += col->ByteSize() / col->chunk_count();
-    }
-    const size_t working_set =
-        (size_t(slots_) + options_.prefetch_depth) * morsel_bytes;
-    if (bm_->capacity_bytes() < working_set) {
-      options_.prefetch_depth = 0;
-      ExecMetrics::Get().scan_prefetch_suppressed->Increment();
-    }
-  }
   cursors_.reserve(slots_);
   for (unsigned s = 0; s < slots_; s++) cursors_.emplace_back(table, bm, cols_);
 }
@@ -61,33 +41,12 @@ void ParallelScan::SetPushdownBetween(const std::string& column, int64_t lo,
                                              "' is not scanned");
 }
 
-void ParallelScan::IssuePrefetch(size_t morsel, TaskGroup* group) {
-  if (morsel >= morsels_) return;
-  // A dedicated I/O task per read-ahead morsel: the fetch (and its
-  // simulated latency) runs on whichever worker is idle, overlapping the
-  // claimer's decode. Demand fetches on the same page coalesce with it.
-  // The task joins the scan's TaskGroup so Run() cannot return while a
-  // prefetch still holds the table/buffer-manager pointers.
-  const Table* table = table_;
-  BufferManager* bm = bm_;
-  auto cols = cols_;
-  group->Run([table, bm, cols = std::move(cols), morsel] {
-    ExecMetrics& em = ExecMetrics::Get();
-    for (const StoredColumn* col : cols) {
-      // Prefetch failures are ignored by design: nothing is cached, so
-      // the demand fetch retries and reports the error where it matters.
-      (void)bm->Prefetch(table, col, morsel);
-      em.scan_prefetches->Increment();
-    }
-  });
-}
-
 Status ParallelScan::Run(const Visitor& visitor) {
   SCC_RETURN_NOT_OK(pushdown_status_);
   if (morsels_ == 0 || cols_.empty()) return Status::OK();
-  // Root of this scan's trace tree: worker and prefetch tasks below are
-  // submitted from this scope, so the pool carries the operation id to
-  // whichever threads run them.
+  // Root of this scan's trace tree: the slots' pool tasks are submitted
+  // from this scope, so the pool carries the operation id to whichever
+  // threads run them.
   TraceOperation op(options_.trace_label.empty()
                         ? std::string("exec.parallel_scan")
                         : options_.trace_label);
@@ -115,16 +74,12 @@ Status ParallelScan::Run(const Visitor& visitor) {
     stop(std::move(st));
     return true;
   };
-  TaskGroup group(pool_);
   auto work = [&](size_t slot) {
     SCC_TRACE_SPAN("exec.parallel_scan.worker");
     ChunkCursor& cursor = cursors_[slot];
     size_t m;
     while (!should_stop() &&
            (m = next.fetch_add(1, std::memory_order_relaxed)) < morsels_) {
-      if (options_.prefetch_depth > 0) {
-        IssuePrefetch(m + options_.prefetch_depth, &group);
-      }
       Status st = cursor.Open(m);
       if (!st.ok()) {
         stop(std::move(st));
@@ -141,11 +96,8 @@ Status ParallelScan::Run(const Visitor& visitor) {
     }
   };
 
-  for (unsigned s = 1; s < slots_; s++) {
-    group.Run([&work, s] { work(s); });
-  }
-  work(0);  // the caller participates
-  group.Wait();
+  // Each slot runs once, on a pool worker or on the participating caller.
+  pool_.ParallelFor(slots_, work, slots_ - 1);
   decompress_seconds_ = 0;
   for (const ChunkCursor& c : cursors_) {
     decompress_seconds_ += c.decompress_seconds();

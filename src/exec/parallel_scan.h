@@ -17,7 +17,7 @@
 // owns the whole page fetch + decode for it, through its slot's
 // ChunkCursor (storage/chunk_cursor.h):
 //
-//   claim morsel (atomic counter)  ->  prefetch morsel+K async
+//   claim morsel (atomic counter)  ->  the only fetcher of its pages
 //   FetchPinned all column pages   ->  pages can't be evicted mid-decode
 //   decode vector-at-a-time        ->  visitor(batch, morsel, slot)
 //   drop pins                      ->  pages become evictable again
@@ -28,16 +28,12 @@
 // is never used by two threads at once. Within a morsel, vectors arrive
 // in table order.
 //
-// The async prefetcher (`prefetch_depth` = K) issues the next K morsels'
-// page fetches as separate pool tasks, so SimDisk latency overlaps
-// decode — double-buffering the paper's RAM->cache pipeline. When the
-// buffer manager's DRAM tier is too small to hold the scan's in-flight
-// working set (pinned morsels + the read-ahead window), the constructor
-// disables read-ahead for the scan instead of letting it thrash the
-// cache (counted in exec.scan.prefetch_suppressed).
+// Pages are fetched on demand, by the claiming slot only. There is no
+// read-ahead: SimDisk charges virtual time and the harness assumes I/O
+// fully overlaps decode (storage/sim_disk.h), so fetching a page early
+// would buy nothing and fetch it twice.
 //
-// Telemetry: exec.scan.morsels / exec.scan.rows / exec.scan.prefetches /
-// exec.scan.prefetch_suppressed.
+// Telemetry: exec.scan.morsels / exec.scan.rows.
 
 namespace scc {
 
@@ -45,12 +41,10 @@ struct ParallelScanOptions {
   /// Max threads working the scan including the caller (0 = pool
   /// workers + caller).
   unsigned threads = 0;
-  /// Morsels of read-ahead issued as async pool tasks (0 = off).
-  size_t prefetch_depth = 2;
   /// Trace-operation label for this scan (interned; per-query labels like
   /// "scan.q=3" are fine). Empty = the generic "exec.parallel_scan".
   /// When tracing is on, Run() opens a TraceOperation under this name, so
-  /// every worker/prefetch span — on whichever thread it runs — exports
+  /// every worker span — on whichever thread it runs — exports
   /// as one per-operation tree.
   std::string trace_label;
   /// Cooperative cancellation, checked at every morsel boundary (before a
@@ -116,10 +110,6 @@ class ParallelScan {
   double decompress_seconds() const { return decompress_seconds_; }
 
  private:
-  void IssuePrefetch(size_t morsel, TaskGroup* group);
-
-  const Table* table_;
-  BufferManager* bm_;
   ThreadPool& pool_;
   Options options_;
   std::vector<const StoredColumn*> cols_;

@@ -153,11 +153,7 @@ ThreadPool::~ThreadPool() {
   ExecMetrics::Get().workers->Add(-int64_t(workers_.size()));
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
-  if (stop_.load(std::memory_order_relaxed)) {  // shutting down: run inline
-    fn();
-    return;
-  }
+ThreadPool::Task* ThreadPool::MakeTask(std::function<void()> fn) {
   Task* t = new Task;
   t->fn = std::move(fn);
   if (TelemetryEnabled() || TraceEnabled()) t->enqueue_us = TraceNowMicros();
@@ -172,21 +168,37 @@ void ThreadPool::Submit(std::function<void()> fn) {
                                            t->flow_id);
     }
   }
+  return t;
+}
+
+void ThreadPool::Enqueue(std::span<Task* const> tasks) {
+  size_t pushed = 0;
   const WorkerTls& tls = g_worker_tls;
-  if (tls.pool == this && workers_[tls.index]->deque.Push(t)) {
+  if (tls.pool == this) {
     // Spawned by a worker: owner deque, stolen if the owner stays busy.
-  } else {
-    if (tls.pool == this) ExecMetrics::Get().queue_overflow->Increment();
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    // Compact the drained prefix occasionally so the vector stays small.
-    if (inject_head_ > 0 && inject_head_ == inject_.size()) {
-      inject_.clear();
-      inject_head_ = 0;
-    }
-    inject_.push_back(t);
-    ExecMetrics::Get().pool_queue_depth->Set(
-        int64_t(inject_.size() - inject_head_));
+    Deque& own = workers_[tls.index]->deque;
+    while (pushed < tasks.size() && own.Push(tasks[pushed])) pushed++;
+    if (pushed == tasks.size()) return;
+    ExecMetrics::Get().queue_overflow->Increment();
   }
+  std::lock_guard<std::mutex> lock(inject_mu_);
+  // Compact the drained prefix occasionally so the vector stays small.
+  if (inject_head_ > 0 && inject_head_ == inject_.size()) {
+    inject_.clear();
+    inject_head_ = 0;
+  }
+  inject_.insert(inject_.end(), tasks.begin() + long(pushed), tasks.end());
+  ExecMetrics::Get().pool_queue_depth->Set(
+      int64_t(inject_.size() - inject_head_));
+}
+
+void ThreadPool::Submit(std::function<void()> fn) {
+  if (stop_.load(std::memory_order_relaxed)) {  // shutting down: run inline
+    fn();
+    return;
+  }
+  Task* t = MakeTask(std::move(fn));
+  Enqueue({&t, 1});
   WakeOne();
 }
 
@@ -200,45 +212,10 @@ void ThreadPool::SubmitBatch(std::vector<std::function<void()>> fns) {
     for (auto& fn : fns) fn();
     return;
   }
-  const bool stamp = TelemetryEnabled() || TraceEnabled();
-  const double now_us = stamp ? TraceNowMicros() : 0;
   std::vector<Task*> tasks;
   tasks.reserve(fns.size());
-  for (auto& fn : fns) {
-    Task* t = new Task;
-    t->fn = std::move(fn);
-    if (stamp) t->enqueue_us = now_us;
-    if (TraceEnabled()) {
-      t->ctx = CurrentTraceContext();
-      if (t->ctx.active()) {
-        t->flow_id = NextTraceId();
-        TraceRecorder::Instance().RecordFlow("exec.task", "exec",
-                                             t->enqueue_us, /*start=*/true,
-                                             t->flow_id);
-      }
-    }
-    tasks.push_back(t);
-  }
-  const WorkerTls& tls = g_worker_tls;
-  std::vector<Task*> spill;
-  if (tls.pool == this) {
-    for (Task* t : tasks) {
-      if (!workers_[tls.index]->deque.Push(t)) spill.push_back(t);
-    }
-    if (!spill.empty()) ExecMetrics::Get().queue_overflow->Increment();
-  } else {
-    spill.swap(tasks);
-  }
-  if (!spill.empty()) {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    if (inject_head_ > 0 && inject_head_ == inject_.size()) {
-      inject_.clear();
-      inject_head_ = 0;
-    }
-    inject_.insert(inject_.end(), spill.begin(), spill.end());
-    ExecMetrics::Get().pool_queue_depth->Set(
-        int64_t(inject_.size() - inject_head_));
-  }
+  for (auto& fn : fns) tasks.push_back(MakeTask(std::move(fn)));
+  Enqueue(tasks);
   WakeAll();
 }
 

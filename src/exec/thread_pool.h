@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -22,8 +23,8 @@
 //    top. Decompression morsels are coarse (>= one 128K-value chunk), so
 //    steal traffic is rare and the deque is never the bottleneck.
 //  * External threads submit through a mutex-guarded injection queue;
-//    tasks spawned *by* workers (e.g. prefetch I/O) go to the spawning
-//    worker's own deque and get stolen if it stays busy.
+//    tasks spawned *by* workers (e.g. a nested ParallelFor's helpers) go
+//    to the spawning worker's own deque and get stolen if it stays busy.
 //  * The shared instance is created lazily on first use, sized by the
 //    SCC_THREADS env var (default: hardware_concurrency), and leaked like
 //    the metrics registry so teardown order can't strand a worker.
@@ -103,6 +104,13 @@ class ThreadPool {
   /// Runs one pending task if any is available to this thread.
   /// Returns false when every queue looked empty.
   bool RunOneTask();
+  /// A task for `fn`, carrying its enqueue stamp and the submitter's
+  /// trace context, with the flow arrow's start recorded when traced.
+  static Task* MakeTask(std::function<void()> fn);
+  /// Pushes `tasks` to the calling worker's own deque; what does not fit,
+  /// and every task from a non-worker thread, goes to the injection queue
+  /// under one lock acquisition.
+  void Enqueue(std::span<Task* const> tasks);
   Task* FindTask(size_t self);  // self == SIZE_MAX for non-workers
   void Execute(Task* t);
   void WakeOne();

@@ -463,11 +463,7 @@ void Server::DispatchFrames(const std::shared_ptr<Conn>& conn) {
     }
     // One pool handoff per read burst: every chunk is submitted under a
     // single injection-queue lock.
-    if (batch.size() == 1) {
-      pool.Submit(std::move(batch[0]));
-    } else {
-      pool.SubmitBatch(std::move(batch));
-    }
+    pool.SubmitBatch(std::move(batch));
   }
   if (framing_broken) ScheduleClose(conn);
 }

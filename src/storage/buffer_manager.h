@@ -179,9 +179,10 @@ class BufferManager {
   Result<PageGuard> FetchPinned(const Table* table, const StoredColumn* col,
                                 size_t chunk_idx);
 
-  /// Warms the cache with `col`'s chunk `chunk_idx` (the async
-  /// prefetcher's entry point). Errors are returned but safe to ignore:
-  /// failed prefetches are not cached, so the demand fetch retries.
+  /// Warms the cache with `col`'s chunk `chunk_idx`: one page, fetched
+  /// and unpinned (stackbench's warm-up calls it). Errors are returned
+  /// but safe to ignore: a failed fetch is not cached, so the next fetch
+  /// retries.
   Status Prefetch(const Table* table, const StoredColumn* col,
                   size_t chunk_idx) {
     return FetchPinned(table, col, chunk_idx).status();

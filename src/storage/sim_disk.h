@@ -14,14 +14,15 @@
 // (~80 MB/s) and 12-disk (~350 MB/s) RAID arrays; we substitute a
 // deterministic bandwidth/seek model that accumulates the I/O time a read
 // *would* take (see DESIGN.md). The benchmark harness combines this
-// virtual I/O time with measured CPU time, assuming the scan's
-// prefetching overlaps I/O with computation:
+// virtual I/O time with measured CPU time, assuming I/O fully overlaps
+// computation:
 //
 //   query_time = max(cpu_time, io_time)        (full overlap)
 //   io_stall   = max(0, io_time - cpu_time)
 //
 // which reproduces exactly the I/O-bound -> CPU-bound crossover the
-// paper's Figure 8 decomposes.
+// paper's Figure 8 decomposes. The overlap is assumed, not executed: a
+// read costs no wall time, so no code reads ahead.
 //
 // For the corruption battery the disk optionally carries a FaultInjector:
 // ReadChunkInto then materializes a (possibly perturbed) private copy of
@@ -44,7 +45,7 @@ class SimDisk {
     double bandwidth_mb_per_s = 350.0;  // sequential chunk bandwidth
     // Per-chunk positioning cost. Chunks are sized so that sequential
     // throughput approaches the disk bandwidth (Section 3.1), i.e. seeks
-    // are mostly amortized by prefetching; keep this small.
+    // are mostly amortized over large sequential reads; keep this small.
     double seek_ms = 0.1;
   };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <iomanip>
 #include <memory>
 #include <numeric>
@@ -143,6 +144,56 @@ TEST(ThreadPoolTest, InWorkerDistinguishesPoolThreads) {
   EXPECT_EQ(state.load(), 1);
 }
 
+TEST(ThreadPoolTest, SubmitBatchRunsEveryTaskOnce) {
+  // From an outside thread a batch goes to the injection queue under one
+  // lock. From inside a worker it goes to that worker's own deque, and
+  // what does not fit in one deque (8192 tasks) spills to the injection
+  // queue.
+  constexpr size_t kOutside = 100;
+  constexpr size_t kInside = 3 * 8192;
+  std::vector<std::atomic<int>> runs(kOutside + kInside);
+  std::atomic<size_t> done{0};
+  std::atomic<bool> in_worker{false};
+  auto batch = [&](size_t first, size_t n) {
+    std::vector<std::function<void()>> fns;
+    fns.reserve(n);
+    for (size_t i = first; i < first + n; i++) {
+      fns.push_back([&runs, &done, i] {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        done.fetch_add(1);
+      });
+    }
+    return fns;
+  };
+  auto wait_for = [&](size_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (done.load() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return done.load();
+  };
+#if SCC_TELEMETRY
+  SetTelemetryEnabled(true);
+  const uint64_t overflow_before = ExecMetrics::Get().queue_overflow->Value();
+#endif
+  ThreadPool pool(2);
+  pool.SubmitBatch(batch(0, kOutside));
+  ASSERT_EQ(wait_for(kOutside), kOutside);
+  pool.Submit([&, fns = batch(kOutside, kInside)]() mutable {
+    in_worker.store(ThreadPool::InWorker());
+    pool.SubmitBatch(std::move(fns));
+  });
+  ASSERT_EQ(wait_for(kOutside + kInside), kOutside + kInside);
+  EXPECT_TRUE(in_worker.load());
+  for (size_t i = 0; i < runs.size(); i++) {
+    ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+#if SCC_TELEMETRY
+  EXPECT_GT(ExecMetrics::Get().queue_overflow->Value(), overflow_before);
+#endif
+}
+
 TEST(ParallelScanTest, UnorderedSlotPartialsMatchSourceData) {
   constexpr size_t kRows = 50000;  // 6 full chunks + an 848-row tail
   Table t = MakeTable(kRows);
@@ -195,33 +246,47 @@ TEST(ParallelScanTest, UnorderedSlotPartialsMatchSourceData) {
   EXPECT_GT(scan.decompress_seconds(), 0.0);
 }
 
-TEST(ParallelScanTest, PrefetcherIssuesAsyncFetches) {
+TEST(ParallelScanTest, ScanFetchesEachPageOnce) {
+  // The slot that claims a morsel is the only one that fetches its pages,
+  // so a cold scan of two columns counts each page as exactly one miss
+  // and one device read, never a hit or a coalesced miss, whether or not
+  // the DRAM tier can hold what the scan reads.
   Table t = MakeTable(50000);
-  SimDisk disk;
-  BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM);
-  Counter& prefetches =
-      MetricsRegistry::Instance().GetCounter("exec.scan.prefetches");
-  const uint64_t before = prefetches.Value();
-
-  ParallelScan::Options opt;
-  opt.prefetch_depth = 2;
-  ParallelScan scan(&t, &bm, {"a", "b"}, opt);
-  std::atomic<size_t> rows{0};
-  Status st = scan.Run([&](const Batch& batch, size_t, size_t) {
-    rows.fetch_add(batch.rows, std::memory_order_relaxed);
-  });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(rows.load(), 50000u);
-#if SCC_TELEMETRY
-  // Counter asserts only when metrics are compiled in (the
-  // -DSCC_TELEMETRY=0 tree stubs Increment/Value out).
-  EXPECT_GT(prefetches.Value(), before);
-#else
-  (void)before;
-#endif
-  // Prefetch must never double-charge the disk: every chunk of the two
-  // columns is read at most once.
-  EXPECT_LE(disk.read_count(), 2 * t.chunk_count());
+  const size_t pages = 2 * t.chunk_count();
+  auto scan_all = [&](BufferManager* bm, unsigned threads) {
+    ParallelScan::Options opt;
+    opt.threads = threads;
+    ParallelScan scan(&t, bm, {"a", "b"}, opt);
+    std::atomic<size_t> rows{0};
+    Status st = scan.Run([&](const Batch& batch, size_t, size_t) {
+      rows.fetch_add(batch.rows, std::memory_order_relaxed);
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(rows.load(), 50000u);
+  };
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    {
+      SimDisk disk;
+      BufferManager bm(&disk, t.ByteSize(), Layout::kDSM);
+      scan_all(&bm, threads);
+      EXPECT_EQ(bm.misses(), pages);
+      EXPECT_EQ(bm.hits(), 0u);
+      EXPECT_EQ(bm.coalesced_misses(), 0u);
+      EXPECT_EQ(disk.read_count(), pages);
+      scan_all(&bm, threads);  // every page now resident
+      EXPECT_EQ(bm.hits(), pages);
+      EXPECT_EQ(bm.misses(), pages);
+      EXPECT_EQ(disk.read_count(), pages);
+    }
+    {
+      // Pages are evicted behind the scan, but none is read twice.
+      SimDisk disk;
+      BufferManager bm(&disk, t.ByteSize() / 4, Layout::kDSM);
+      scan_all(&bm, threads);
+      EXPECT_EQ(disk.read_count(), pages);
+    }
+  }
 }
 
 TEST(ParallelScanTest, ThreadsOptionBoundsSlotCount) {
