@@ -103,11 +103,7 @@ int Main() {
   // backend this host supports, side by side. The dispatched kernels only
   // accelerate LOOP1 (FOR decode) and the delta prefix sum, so the spread
   // narrows as the exception rate (LOOP2 patch work) grows.
-  const KernelIsa original = ActiveKernelIsa();
-  std::vector<KernelIsa> isas;
-  for (int i = 0; i < kNumKernelIsas; i++) {
-    if (KernelIsaSupported(KernelIsa(i))) isas.push_back(KernelIsa(i));
-  }
+  const std::vector<KernelIsa> isas = SupportedKernelIsas();
   printf("\nPFOR decode bandwidth by kernel backend (GB/s):\n\n");
   printf("exc.rate |");
   for (KernelIsa isa : isas) printf("  %-8s", KernelIsaName(isa));
@@ -121,7 +117,7 @@ int Main() {
     ForCodec<int64_t> codec(base);
     printf("  %4.2f   |", rate);
     for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
+      ScopedKernelIsa pin(isa);
       double secs = bench::BestSeconds(kReps, [&] {
         DecompressPatched(p.codes_patched.data(), kN, codec,
                           p.exc_patched.data(), p.first_exc, p.n_exc,
@@ -152,7 +148,7 @@ int Main() {
     std::vector<uint32_t> unpacked(kN);
     printf("  %2d |", b);
     for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
+      ScopedKernelIsa pin(isa);
       double secs = bench::BestSeconds(kReps, [&] {
         BitUnpackExact(packed.data(), kN, b, unpacked.data());
       });
@@ -160,7 +156,6 @@ int Main() {
     }
     printf("\n");
   }
-  SetKernelIsa(original);
 
   printf("\nPaper reference (Fig. 4): patched PFOR/PDICT reach 2-5 GB/s at "
          "low exception\nrates and stay well above NAIVE, whose throughput "

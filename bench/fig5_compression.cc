@@ -44,26 +44,6 @@ constexpr int kReps = 3;
 bool g_json = false;
 bench::JsonReport g_report("fig5_compression");
 
-std::vector<KernelIsa> SupportedIsas() {
-  std::vector<KernelIsa> isas;
-  for (int i = 0; i < kNumKernelIsas; i++) {
-    if (KernelIsaSupported(KernelIsa(i))) isas.push_back(KernelIsa(i));
-  }
-  return isas;
-}
-
-/// Pins the dispatch table to `isa` for the enclosing scope.
-class ScopedIsa {
- public:
-  explicit ScopedIsa(KernelIsa isa) : prev_(ActiveKernelIsa()) {
-    SetKernelIsa(isa);
-  }
-  ~ScopedIsa() { SetKernelIsa(prev_); }
-
- private:
-  KernelIsa prev_;
-};
-
 void FlatKernelSection() {
   if (!g_json) {
     printf("%zu x 64-bit values, %d-bit codes; bandwidth counts input "
@@ -140,16 +120,18 @@ void PackKernelSection() {
   if (!g_json) {
     printf("\n--- Pack kernels: BitPack bandwidth by ISA (input GB/s) ---\n");
     printf("  b   ");
-    for (KernelIsa isa : SupportedIsas()) printf("| %-9s", KernelIsaName(isa));
+    for (KernelIsa isa : SupportedKernelIsas()) {
+      printf("| %-9s", KernelIsaName(isa));
+    }
     printf("\n");
   }
 
-  // secs[isa-order][width-order]; scalar is always SupportedIsas()[0].
-  const std::vector<KernelIsa> isas = SupportedIsas();
+  // secs[isa-order][width-order]; scalar is always SupportedKernelIsas()[0].
+  const std::vector<KernelIsa> isas = SupportedKernelIsas();
   std::vector<std::vector<double>> secs(isas.size());
   std::vector<double> speedups_avx2;
   for (size_t ii = 0; ii < isas.size(); ii++) {
-    ScopedIsa pin(isas[ii]);
+    ScopedKernelIsa pin(isas[ii]);
     for (size_t wi = 0; wi < widths.size(); wi++) {
       const int b = widths[wi];
       secs[ii].push_back(bench::BestSeconds(kReps, [&] {
@@ -186,8 +168,8 @@ void PackKernelSection() {
 
   // Fused for-encode + delta transform, the two other write-path kernels.
   const double in_bytes64 = double(n) * sizeof(uint64_t);
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsa pin(isa);
+  for (KernelIsa isa : SupportedKernelIsas()) {
+    ScopedKernelIsa pin(isa);
     double fe = bench::BestSeconds(kReps, [&] {
       ForEncodePack64(vals64.data(), n, 12, uint64_t(1) << 40,
                       packed.data());
@@ -213,7 +195,9 @@ void PipelineSection() {
     printf("\n--- Segment pipeline: SegmentBuilder bandwidth by ISA "
            "(input GB/s) ---\n");
     printf("exc.rate ");
-    for (KernelIsa isa : SupportedIsas()) printf("| %-9s", KernelIsaName(isa));
+    for (KernelIsa isa : SupportedKernelIsas()) {
+      printf("| %-9s", KernelIsaName(isa));
+    }
     printf("\n");
   }
   const int64_t base = 1000;
@@ -224,8 +208,8 @@ void PipelineSection() {
         std::span<const int64_t>(data).subspan(0, 64 * 1024));
     const double bytes = double(kN) * sizeof(int64_t);
     if (!g_json) printf("  %4.2f   ", rate);
-    for (KernelIsa isa : SupportedIsas()) {
-      ScopedIsa pin(isa);
+    for (KernelIsa isa : SupportedKernelIsas()) {
+      ScopedKernelIsa pin(isa);
       double secs = bench::BestSeconds(kReps, [&] {
         auto seg = SegmentBuilder<int64_t>::Build(data, choice);
         if (!seg.ok()) std::abort();

@@ -207,14 +207,6 @@ IsaMeasurement MeasureKernel(const std::function<void()>& fn) {
   return m;
 }
 
-std::vector<KernelIsa> SupportedIsas() {
-  std::vector<KernelIsa> isas;
-  for (int i = 0; i < kNumKernelIsas; i++) {
-    if (KernelIsaSupported(KernelIsa(i))) isas.push_back(KernelIsa(i));
-  }
-  return isas;
-}
-
 /// Prints one sweep row, or with `report` records it there instead.
 void PrintIsaRow(const char* name, KernelIsa isa, const IsaMeasurement& m,
                  double bytes, double n, double speedup,
@@ -245,10 +237,10 @@ void PrintIsaRow(const char* name, KernelIsa isa, const IsaMeasurement& m,
 /// Buffers are sized L1-resident (16 KB out) and each timed run loops the
 /// kernel kInner times, so the sweep measures kernel throughput rather
 /// than the cache-level store bandwidth a multi-MB working set hits.
-/// Restores the startup-selected backend before returning.
+/// Each run pins its backend, so the startup selection stands afterwards.
 void RunIsaSweep(bench::JsonReport* report) {
   const KernelIsa original = ActiveKernelIsa();
-  const auto isas = SupportedIsas();
+  const auto isas = SupportedKernelIsas();
   const size_t n = 4096;
   const size_t kInner = 2048;
   Rng rng(42);
@@ -273,7 +265,7 @@ void RunIsaSweep(bench::JsonReport* report) {
     snprintf(name, sizeof(name), "BitUnpack/%d", b);
     double scalar_seconds = 0;
     for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
+      ScopedKernelIsa pin(isa);
       auto m = MeasureKernel([&] {
         for (size_t k = 0; k < kInner; k++) {
           BitUnpack(packed.data(), n, b, out.data());
@@ -302,47 +294,32 @@ void RunIsaSweep(bench::JsonReport* report) {
     std::vector<uint32_t> out32(n);
     std::vector<uint64_t> out64(n);
     const double values = double(n) * double(kInner);
-    for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
-      auto m = MeasureKernel([&] {
-        for (size_t k = 0; k < kInner; k++) {
-          BitUnpackFor32(packed.data(), n, b, 1000u, out32.data());
-        }
-      });
-      PrintIsaRow("BitUnpackFor32/8", isa, m, values * 4, values, 0, report);
-    }
-    for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
-      auto m = MeasureKernel([&] {
-        for (size_t k = 0; k < kInner; k++) {
-          BitUnpackFor64(packed.data(), n, b, 1000u, out64.data());
-        }
-      });
-      PrintIsaRow("BitUnpackFor64/8", isa, m, values * 8, values, 0, report);
-    }
-    for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
-      auto m = MeasureKernel([&] {
-        for (size_t k = 0; k < kInner; k++) {
-          std::memcpy(out32.data(), codes.data(), n * 4);
-          PrefixSum32(out32.data(), n, 0);
-        }
-      });
-      PrintIsaRow("PrefixSum32", isa, m, values * 4, values, 0, report);
-    }
-    for (KernelIsa isa : isas) {
-      SetKernelIsa(isa);
-      auto m = MeasureKernel([&] {
-        for (size_t k = 0; k < kInner; k++) {
-          for (size_t i = 0; i < n; i++) out64[i] = codes[i];
-          PrefixSum64(out64.data(), n, 0);
-        }
-      });
-      PrintIsaRow("PrefixSum64", isa, m, values * 8, values, 0, report);
-    }
+    // One row per backend; a timed run calls `body` kInner times.
+    auto sweep = [&](const char* name, double value_bytes, auto&& body) {
+      for (KernelIsa isa : isas) {
+        ScopedKernelIsa pin(isa);
+        auto m = MeasureKernel([&] {
+          for (size_t k = 0; k < kInner; k++) body();
+        });
+        PrintIsaRow(name, isa, m, values * value_bytes, values, 0, report);
+      }
+    };
+    sweep("BitUnpackFor32/8", 4, [&] {
+      BitUnpackFor32(packed.data(), n, b, 1000u, out32.data());
+    });
+    sweep("BitUnpackFor64/8", 8, [&] {
+      BitUnpackFor64(packed.data(), n, b, 1000u, out64.data());
+    });
+    sweep("PrefixSum32", 4, [&] {
+      std::memcpy(out32.data(), codes.data(), n * 4);
+      PrefixSum32(out32.data(), n, 0);
+    });
+    sweep("PrefixSum64", 8, [&] {
+      for (size_t i = 0; i < n; i++) out64[i] = codes[i];
+      PrefixSum64(out64.data(), n, 0);
+    });
   }
 
-  SetKernelIsa(original);
   const double geomean = bench::GeoMean(simd_speedups_1_16);
   if (report != nullptr) {
     if (geomean > 0) {

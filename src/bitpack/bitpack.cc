@@ -1,9 +1,12 @@
 #include "bitpack/bitpack.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "bitpack/bitpack_kernels.h"
@@ -19,36 +22,22 @@ namespace scc {
 namespace bitpack_internal {
 namespace {
 
+/// Every backend this file knows, in ascending preference.
+constexpr KernelIsa kAllIsas[] = {KernelIsa::kScalar, KernelIsa::kAvx2};
+
 std::atomic<const KernelOps*> g_active{nullptr};
 
 bool CpuSupports(KernelIsa isa) {
+  if (isa == KernelIsa::kScalar) return true;
 #if defined(SCC_BITPACK_HAVE_SIMD_TU)
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return true;
-    case KernelIsa::kSse4:
-      return __builtin_cpu_supports("sse4.1");
-    case KernelIsa::kAvx2:
-      return __builtin_cpu_supports("avx2");
-  }
-  return false;
-#else
-  return isa == KernelIsa::kScalar;
+  if (isa == KernelIsa::kAvx2) return __builtin_cpu_supports("avx2");
 #endif
+  return false;
 }
 
-const KernelOps* OpsFor(KernelIsa isa) {
+const KernelOps* OpsFor([[maybe_unused]] KernelIsa isa) {
 #if defined(SCC_BITPACK_HAVE_SIMD_TU)
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return &ScalarOps();
-    case KernelIsa::kSse4:
-      return &Sse4Ops();
-    case KernelIsa::kAvx2:
-      return &Avx2Ops();
-  }
-#else
-  (void)isa;
+  if (isa == KernelIsa::kAvx2) return &Avx2Ops();
 #endif
   return &ScalarOps();
 }
@@ -62,34 +51,32 @@ void Publish(const KernelOps* ops) {
       .Set(int64_t(ops->isa));
 }
 
-bool ParseIsaName(const char* s, KernelIsa* out) {
-  if (std::strcmp(s, "scalar") == 0) {
-    *out = KernelIsa::kScalar;
-  } else if (std::strcmp(s, "sse4") == 0 || std::strcmp(s, "sse4.1") == 0) {
-    *out = KernelIsa::kSse4;
-  } else if (std::strcmp(s, "avx2") == 0) {
-    *out = KernelIsa::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const KernelOps& InitActive() {
   // Magic-static init: the first decode (from any thread) performs the
   // CPUID probe and env-override parse exactly once.
   static const KernelOps* chosen = [] {
-    KernelIsa best = KernelIsa::kScalar;
-    if (CpuSupports(KernelIsa::kAvx2)) {
-      best = KernelIsa::kAvx2;
-    } else if (CpuSupports(KernelIsa::kSse4)) {
-      best = KernelIsa::kSse4;
+    const std::vector<KernelIsa> supported = SupportedKernelIsas();
+    KernelIsa isa = supported.back();
+    const char* env = std::getenv("SCC_KERNEL_ISA");
+    if (env != nullptr && *env != '\0') {
+      auto it = std::find_if(supported.begin(), supported.end(),
+                             [env](KernelIsa s) {
+                               return std::strcmp(env, KernelIsaName(s)) == 0;
+                             });
+      if (it != supported.end()) {
+        isa = *it;
+      } else {
+        // A stale or mistyped override must not pass silently.
+        std::string valid;
+        for (KernelIsa s : supported) {
+          valid += std::string(" ") + KernelIsaName(s);
+        }
+        std::fprintf(stderr,
+                     "scc: ignoring SCC_KERNEL_ISA=%s (valid:%s); using %s\n",
+                     env, valid.c_str(), KernelIsaName(isa));
+      }
     }
-    if (const char* env = std::getenv("SCC_KERNEL_ISA")) {
-      KernelIsa forced;
-      if (ParseIsaName(env, &forced) && CpuSupports(forced)) best = forced;
-    }
-    const KernelOps* ops = OpsFor(best);
+    const KernelOps* ops = OpsFor(isa);
     Publish(ops);
     return ops;
   }();
@@ -109,8 +96,6 @@ const char* KernelIsaName(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar:
       return "scalar";
-    case KernelIsa::kSse4:
-      return "sse4";
     case KernelIsa::kAvx2:
       return "avx2";
   }
@@ -121,6 +106,14 @@ KernelIsa ActiveKernelIsa() { return bitpack_internal::Active().isa; }
 
 bool KernelIsaSupported(KernelIsa isa) {
   return bitpack_internal::CpuSupports(isa);
+}
+
+std::vector<KernelIsa> SupportedKernelIsas() {
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa : bitpack_internal::kAllIsas) {
+    if (KernelIsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
 }
 
 bool SetKernelIsa(KernelIsa isa) {
@@ -138,7 +131,6 @@ namespace {
 
 using bitpack_internal::kGroupSlackBytes;
 using bitpack_internal::KernelOps;
-using bitpack_internal::kMaxSimdPackBits;
 
 /// Padded staging for groups near the end of a stream: SIMD kernels may
 /// read up to kGroupSlackBytes past a group's b words (bitpack_kernels.h),
@@ -156,25 +148,15 @@ struct TailPad {
 };
 
 /// Number of leading groups (out of `groups`, each b words, with exactly
-/// groups*b input words available) a slack-reading kernel may decode
-/// straight from the stream. A group is safe iff the words of the groups
-/// AFTER it cover the slack — for b < kGroupSlackBytes/4 that disqualifies
-/// several trailing groups, not just the last (e.g. b=1: the last 4).
+/// groups*b words of input or destination) a slack kernel may read from or
+/// write into the stream directly. A group is safe iff the words of the
+/// groups AFTER it cover the slack — for b < kGroupSlackBytes/4 that
+/// disqualifies several trailing groups, not just the last (e.g. b=1: the
+/// last 4). A pack kernel's zeroed-ahead bytes are rewritten when their
+/// own group packs (ascending order). Widths 0 and 32 run the inherited
+/// scalar kernels, which touch exactly b words.
 inline size_t DirectGroups(const KernelOps& ops, size_t groups, int b) {
-  if (!ops.tail_read_slack || b == 0 || b == 32) return groups;
-  const size_t slack_words = kGroupSlackBytes / 4;
-  const size_t unsafe = (slack_words + size_t(b) - 1) / size_t(b);
-  return groups > unsafe ? groups - unsafe : 0;
-}
-
-/// Pack mirror of DirectGroups: leading groups (out of `groups`, with
-/// exactly groups*b destination words) a slack-WRITING pack kernel may
-/// store straight into the stream. Same geometry — a group is safe iff the
-/// words of the groups after it cover the slack; those zeroed-ahead bytes
-/// are rewritten when their own group packs (ascending order). Widths above
-/// kMaxSimdPackBits use the inherited scalar kernels, which write exactly.
-inline size_t DirectPackGroups(const KernelOps& ops, size_t groups, int b) {
-  if (!ops.pack_write_slack || b == 0 || b > kMaxSimdPackBits) return groups;
+  if (!ops.group_slack || b == 0 || b == 32) return groups;
   const size_t slack_words = kGroupSlackBytes / 4;
   const size_t unsafe = (slack_words + size_t(b) - 1) / size_t(b);
   return groups > unsafe ? groups - unsafe : 0;
@@ -190,7 +172,7 @@ inline void PackStreamDriver(size_t n, int b, const KernelOps& ops,
                              uint32_t* out, Call&& call) {
   if (n == 0) return;
   const size_t groups = (n + 31) / 32;
-  const size_t direct = DirectPackGroups(ops, groups, b);
+  const size_t direct = DirectGroups(ops, groups, b);
   uint32_t padbuf[32 + kGroupSlackBytes / 4];
   for (size_t g = 0; g < groups; g++) {
     uint32_t* dst = out + g * size_t(b);
@@ -236,7 +218,7 @@ inline void ExactUnpackDriver(const uint32_t* in, size_t n, int b,
 void BitPackGroup32(const uint32_t* in, int b, uint32_t* out) {
   SCC_DCHECK(b >= 0 && b <= 32);
   const KernelOps& ops = bitpack_internal::Active();
-  if (DirectPackGroups(ops, 1, b) == 0) {
+  if (DirectGroups(ops, 1, b) == 0) {
     uint32_t padbuf[32 + kGroupSlackBytes / 4];
     ops.pack[b](in, padbuf);
     std::memcpy(out, padbuf, size_t(b) * sizeof(uint32_t));

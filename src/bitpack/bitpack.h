@@ -13,11 +13,11 @@
 // machine-addressable uint32_t arrays with "highly optimized routines that
 // are loop-unrolled to handle 32 values each iteration" (Section 3). These
 // are those routines. Every entry point routes through a per-process
-// dispatch table (bitpack_dispatch.h) holding scalar, SSE4.1 or AVX2
-// kernels selected via CPUID at startup; for each bit width there is a
-// specialized kernel, so shifts are compile-time constants and dispatch is
-// one indirect call per group of 32 values (amortized to one table load
-// per n values via the looped entry points below). All backends produce
+// dispatch table (bitpack_dispatch.h) holding the scalar reference or the
+// AVX2 kernels, selected via CPUID at startup; for each bit width there is
+// a specialized kernel, so shifts are compile-time constants and dispatch
+// is one indirect call per group of 32 values (amortized to one table load
+// per n values via the looped entry points below). Both backends produce
 // byte-identical streams and decoded arrays.
 //
 // Packing works on groups of 32 values: a group of 32 b-bit codes occupies
@@ -91,7 +91,7 @@ void ForDecode64(const uint32_t* codes, size_t n, uint64_t base,
 
 /// In-place inclusive running sum seeded by `start` (the value preceding
 /// position 0): data[i] = start + data[0] + ... + data[i], wraparound.
-/// The PFOR-DELTA decode epilogue; SIMD backends use the shift-add
+/// The PFOR-DELTA decode epilogue; the AVX2 backend uses the shift-add
 /// prefix-sum idiom.
 void PrefixSum32(uint32_t* data, size_t n, uint32_t start);
 void PrefixSum64(uint64_t* data, size_t n, uint64_t start);
@@ -99,7 +99,7 @@ void PrefixSum64(uint64_t* data, size_t n, uint64_t start);
 /// Compressed-domain selection (the filter-then-decode hot path): scans
 /// `n` packed codes of `b` bits and appends base_index + i, ascending, for
 /// every code i whose value lies in [lo, hi] (unsigned, inclusive) to
-/// `out`, returning the number appended. Decodes nothing — per-ISA kernels
+/// `out`, returning the number appended. Decodes nothing — the kernels
 /// evaluate the range test directly on the packed words and compact the
 /// lane masks with predicated appends. `out` must have room for `n`
 /// entries (positions past the returned count may hold scratch); `in` is

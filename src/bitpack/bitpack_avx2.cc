@@ -465,8 +465,7 @@ void FillSimdSelectWidths(KernelOps& ops, std::integer_sequence<int, Bs...>) {
 KernelOps MakeAvx2Ops() {
   KernelOps ops = ScalarOps();  // widths 0 and 32 stay scalar
   ops.isa = KernelIsa::kAvx2;
-  ops.tail_read_slack = true;
-  ops.pack_write_slack = true;
+  ops.group_slack = true;
   FillSimdWidths(ops,
                  std::make_integer_sequence<int, kMaxSimdUnpackBits>{});
   FillSimdPackWidths(ops,

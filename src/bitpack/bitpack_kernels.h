@@ -9,11 +9,11 @@
 #include "bitpack/bitpack_dispatch.h"
 
 // Internal contract between the dispatch layer (bitpack.cc) and the
-// per-ISA backend translation units (bitpack_scalar.cc, bitpack_sse4.cc,
-// bitpack_avx2.cc). Library code includes bitpack/bitpack.h instead.
+// per-ISA backend translation units (bitpack_scalar.cc, bitpack_avx2.cc).
+// Library code includes bitpack/bitpack.h instead.
 //
-// Packed layout (unchanged from the seed, shared by every backend so all
-// backends are byte-compatible): codes are packed LSB-first into a
+// Packed layout (unchanged from the seed, shared by both backends so they
+// are byte-compatible): codes are packed LSB-first into a
 // contiguous little-endian bit stream, 32 values per group occupying
 // exactly `b` 32-bit words.
 
@@ -21,22 +21,23 @@ namespace scc {
 namespace bitpack_internal {
 
 /// Group kernels transform exactly one 32-value group: `b` packed input
-/// words -> 32 outputs. SIMD backends use byte-aligned overlapping vector
-/// loads and may READ up to kGroupSlackBytes past the group's b*4 input
-/// bytes (they never write past the 32 outputs). The drivers in bitpack.cc
-/// provide that slack: groups followed by more packed data have it for
-/// free, and the final group of a stream runs from a padded stack copy
-/// whenever ops.tail_read_slack is set.
+/// words -> 32 outputs. The AVX2 kernels use byte-aligned overlapping
+/// vector loads and may READ up to kGroupSlackBytes past the group's b*4
+/// input bytes (they never write past the 32 outputs). The drivers in
+/// bitpack.cc provide that slack: groups followed by more packed data have
+/// it for free, and the final group of a stream runs from a padded stack
+/// copy whenever ops.group_slack is set.
 ///
-/// The pack side mirrors the contract on the OUTPUT: SIMD pack kernels
+/// The pack side mirrors the contract on the OUTPUT: the AVX2 pack kernels
 /// store 16-byte (b <= 16) or 32-byte (b = 17..31) vectors whose tail bits
 /// are zero, so they may WRITE up to kGroupSlackBytes past the group's b*4
 /// output bytes (the 32-byte stores overhang at most 32 - b <= 15 bytes;
-/// they read exactly 32 input values — no input slack). The extra bytes are always zero, and the
-/// kernels store batches in ascending stream order, so inside a multi-group
-/// stream the slack of group g only ever pre-zeroes bytes that group g+1
-/// immediately overwrites. Only groups near the END of the destination
-/// need staging (ops.pack_write_slack; drivers in bitpack.cc).
+/// they read exactly 32 input values — no input slack). The extra bytes
+/// are always zero, and the kernels store batches in ascending stream
+/// order, so inside a multi-group stream the slack of group g only ever
+/// pre-zeroes bytes that group g+1 immediately overwrites. Only groups
+/// near the END of the destination need staging (ops.group_slack; drivers
+/// in bitpack.cc).
 constexpr size_t kGroupSlackBytes = 16;
 
 using UnpackFn = void (*)(const uint32_t* __restrict in,
@@ -73,7 +74,7 @@ using DeltaEncode64Fn = void (*)(const uint64_t* __restrict in, size_t n,
 // and appends base_index + i (ascending) for every code in [lo, hi]
 // (unsigned, inclusive; caller guarantees lo <= hi) to `out`, returning
 // the number appended. Input contract matches the unpack kernels (b words
-// plus read slack on SIMD backends); `out` must have room for 32 entries —
+// plus read slack on the AVX2 backend); `out` must have room for 32 entries —
 // the kernels append with predicated stores, so positions past the
 // returned count may hold scratch indices.
 using SelectBetweenFn = size_t (*)(const uint32_t* __restrict in, uint32_t lo,
@@ -81,12 +82,12 @@ using SelectBetweenFn = size_t (*)(const uint32_t* __restrict in, uint32_t lo,
                                    uint32_t* __restrict out);
 
 /// One backend's full kernel table, indexed by bit width where per-width
-/// specialization pays. Backends fill SIMD entries for the widths they
-/// cover and inherit scalar entries for the rest, so every table is total.
+/// specialization pays. The AVX2 table fills SIMD entries for the widths
+/// it covers and inherits scalar entries for the rest, so every table is
+/// total.
 struct KernelOps {
   KernelIsa isa = KernelIsa::kScalar;
-  bool tail_read_slack = false;   // decode side, see kGroupSlackBytes
-  bool pack_write_slack = false;  // pack side, widths 1..kMaxSimdPackBits
+  bool group_slack = false;  // widths 1..31, see kGroupSlackBytes
   std::array<UnpackFn, 33> unpack{};
   std::array<UnpackFor32Fn, 33> unpack_for32{};
   std::array<UnpackFor64Fn, 33> unpack_for64{};
@@ -110,15 +111,14 @@ const KernelOps& ScalarOps();
 
 #if !defined(SCC_FORCE_SCALAR) && (defined(__x86_64__) || defined(__i386__))
 #define SCC_BITPACK_HAVE_SIMD_TU 1
-const KernelOps& Sse4Ops();
 const KernelOps& Avx2Ops();
 #endif
 
 // ---------------------------------------------------------------------------
-// Chunk-load geometry shared by the SIMD backends
+// Chunk-load geometry of the AVX2 backend
 // ---------------------------------------------------------------------------
 //
-// The SIMD unpackers decode the horizontal layout with byte-aligned chunk
+// The AVX2 unpackers decode the horizontal layout with byte-aligned chunk
 // loads: the code at value index v occupies bits [v*b, v*b + b) of the
 // stream, i.e. bits [r, r+b) of the chunk at byte (v*b)/8 with
 // r = (v*b) % 8. For b <= 25 a 4-byte chunk always contains the whole code
@@ -131,7 +131,7 @@ const KernelOps& Avx2Ops();
 /// cover; 26..kMaxSimdUnpackBits use the 8-byte-chunk kernels.
 constexpr int kMaxChunk4UnpackBits = 25;
 
-/// Highest bit width the SIMD unpackers cover overall. Only b = 32 (a raw
+/// Highest bit width the AVX2 unpackers cover overall. Only b = 32 (a raw
 /// word copy, already optimal) and b = 0 bypass the shuffle networks.
 constexpr int kMaxSimdUnpackBits = 31;
 
@@ -141,10 +141,10 @@ constexpr int kMaxSimdUnpackBits = 31;
 /// (8*b bits = b bytes).
 constexpr int kMaxMergeTreePackBits = 16;
 
-/// Highest bit width the SIMD packers cover overall. Widths 17..31 use the
-/// 3-level splice (bitpack_avx2.cc / bitpack_sse4.cc): one SIMD fold to
-/// four 2b-bit qword runs, then two compile-time scalar splice levels into
-/// a 32-byte store whose tail bits are zero. b = 32 stays a word copy.
+/// Highest bit width the AVX2 packers cover overall. Widths 17..31 use the
+/// 3-level splice: one SIMD fold to four 2b-bit qword runs, then two
+/// compile-time scalar splice levels into a 32-byte store whose tail bits
+/// are zero. b = 32 stays a word copy.
 constexpr int kMaxSimdPackBits = 31;
 
 /// AVX2 processes 8 lanes per batch; 8 lanes * b bits = b bytes, so every
@@ -153,17 +153,6 @@ constexpr int kMaxSimdPackBits = 31;
 constexpr int Lane8ByteOff(int b, int i) { return (i * b) / 8; }
 constexpr int Lane8Shift(int b, int i) { return (i * b) % 8; }
 
-/// SSE4.1 processes 4 lanes per batch; 4 lanes * b bits = b/2 bytes, so
-/// odd widths alternate between two sub-byte phases (batch base bit 4kb is
-/// not byte-aligned for odd k). `p` is the batch parity (k % 2).
-constexpr int Lane4Phase(int b, int p) { return (b % 2) != 0 && p != 0 ? 4 : 0; }
-constexpr int Lane4ByteOff(int b, int p, int i) {
-  return (Lane4Phase(b, p) + i * b) / 8;
-}
-constexpr int Lane4Shift(int b, int p, int i) {
-  return (Lane4Phase(b, p) + i * b) % 8;
-}
-
 /// Wide-width (26..31) geometry: value v's code lives at bits [r, r+b) of
 /// the byte-aligned 8-byte chunk at byte (v*b)/8, r = (v*b) % 8. Offsets
 /// are absolute within the group (no batch alignment exists to exploit —
@@ -171,10 +160,10 @@ constexpr int Lane4Shift(int b, int p, int i) {
 constexpr int WideByteOff(int b, int v) { return (v * b) / 8; }
 constexpr int WideShift(int b, int v) { return (v * b) % 8; }
 
-/// Levels 2 and 3 of the wide (b = 17..31) pack, shared by the SIMD
-/// backends: run I (2*B bits, high qword bits zero) lands at bit position
-/// I*2*B of the 256-bit batch window. Every shift is compile-time, and a
-/// run straddling a word boundary carries into the next word.
+/// Levels 2 and 3 of the wide (b = 17..31) AVX2 pack: run I (2*B bits,
+/// high qword bits zero) lands at bit position I*2*B of the 256-bit batch
+/// window. Every shift is compile-time, and a run straddling a word
+/// boundary carries into the next word.
 template <int B, int I>
 inline void WideSpliceRun(uint64_t r, uint64_t* w) {
   constexpr int p = 2 * B * I;

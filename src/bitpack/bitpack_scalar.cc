@@ -170,8 +170,6 @@ template <int... Bs>
 KernelOps MakeScalarOps(std::integer_sequence<int, Bs...>) {
   KernelOps ops;
   ops.isa = KernelIsa::kScalar;
-  ops.tail_read_slack = false;
-  ops.pack_write_slack = false;
   ops.unpack = {&UnpackScalar<Bs>...};
   ops.unpack_for32 = {&UnpackFor32Scalar<Bs>...};
   ops.unpack_for64 = {&UnpackFor64Scalar<Bs>...};

@@ -27,8 +27,8 @@
 // exception-free group skips the intermediate code array entirely via the
 // fused ForEncodePack kernels (subtract base + mask + pack in one pass).
 // Every path masks codes to b bits and zero-pads partial groups the same
-// way, so segment bytes are identical across scalar/SSE4/AVX2 backends and
-// across the fused vs. patched paths.
+// way, so segment bytes are identical across the scalar and AVX2 backends
+// and across the fused vs. patched paths.
 
 namespace scc {
 

@@ -153,9 +153,12 @@ class SegmentReader {
   ///    and test a qualifying-code table built once per call.
   ///  * everything else (PFOR-DELTA, wrapping frames, narrow value types,
   ///    oversized dictionaries) decodes the group and selects scalar.
-  /// Exception slots hold patch-list gap codes, not data, so the kernel
-  /// paths re-check each exception value against [lo, hi] while walking
-  /// the group's patch list and merge the verdicts into the candidates.
+  /// The kernel path always selects a whole group. Exception slots hold
+  /// patch-list gap codes, not data, so it then re-checks each exception
+  /// value against [lo, hi] while walking the group's patch list and
+  /// patches the verdicts into the selection in place. A window that cuts
+  /// a group runs the same path into a group-local buffer and copies out
+  /// the indices inside the window.
   size_t SelectBetween(size_t start, size_t n, T lo, T hi,
                        uint32_t* out) const {
     SCC_DCHECK(start + n <= hdr_.count);
@@ -221,12 +224,12 @@ class SegmentReader {
     const size_t last_group = (start + n - 1) / kEntryGroup;
     size_t cnt = 0;
     size_t skipped = 0, full = 0, kernel = 0, decoded_groups = 0;
-    uint32_t cand[kEntryGroup];
     for (size_t g = first_group; g <= last_group; g++) {
       const size_t glo = g * kEntryGroup;
       const size_t glen = std::min(kEntryGroup, size_t(hdr_.count) - glo);
-      const size_t wlo = std::max(start, glo) - glo;  // window within group
-      const size_t whi = std::min(start + n, glo + glen) - glo;
+      // The window within the group.
+      const uint32_t wlo = uint32_t(std::max(start, glo) - glo);
+      const uint32_t whi = uint32_t(std::min(start + n, glo + glen) - glo);
       if (summary != nullptr) {
         const T mn = summary[2 * g];
         const T mx = summary[2 * g + 1];
@@ -242,76 +245,7 @@ class SegmentReader {
           continue;
         }
       }
-      const uint32_t* words = CodeWords() + g * (kEntryGroup / 32) * size_t(b);
-      const uint32_t entry = Entries()[g];
-      const size_t group_end = std::min<size_t>(
-          g + 1 < hdr_.entry_count ? EntryExceptionIndex(Entries()[g + 1])
-                                   : hdr_.exception_count,
-          hdr_.exception_count);
-      const size_t first_exc = EntryExceptionIndex(entry);
-      const size_t group_exc = group_end > first_exc ? group_end - first_exc : 0;
-      const bool whole_window = wlo == 0 && whi == glen;
-      // Fast path (every group but a truncated first/last one): emit final
-      // indices straight into `out`, then patch the few exception slots in
-      // place — the candidate pass judged their gap codes, not their
-      // values, so each is re-decided on its stored exception value and
-      // inserted into / removed from the sorted run with a short memmove.
-      // This replaces the two-pointer merge with O(exceptions) work.
-      if (whole_window && (pfor_kernel || have_qual)) {
-        const uint32_t rel = uint32_t(glo - start);
-        uint32_t* base = out + cnt;
-        size_t k;
-        if (pfor_kernel) {
-          k = BitSelectBetween(words, glen, b, clo, chi, rel, base);
-        } else {
-          uint32_t codes[kEntryGroup];
-          BitUnpack(words, glen, b, codes);
-          k = 0;
-          for (size_t i = 0; i < glen; i++) {
-            base[k] = rel + uint32_t(i);
-            k += size_t(qual[ClampDictCode(codes[i])]);
-          }
-        }
-        size_t cur = EntryFirstOffset(entry);
-        size_t j = first_exc;
-        const T* exc_end = ExcEnd();
-        for (size_t e = 0; e < group_exc && cur < glen; e++) {
-          const T v = exc_end[-(ptrdiff_t(j) + 1)];
-          const bool want = v >= lo && v <= hi;
-          const uint32_t target = rel + uint32_t(cur);
-          uint32_t* p = std::lower_bound(base, base + k, target);
-          const bool have = p != base + k && *p == target;
-          if (want && !have) {
-            std::memmove(p + 1, p, size_t(base + k - p) * sizeof(uint32_t));
-            *p = target;
-            k++;
-          } else if (!want && have) {
-            std::memmove(p, p + 1,
-                         size_t(base + k - p - 1) * sizeof(uint32_t));
-            k--;
-          }
-          j++;
-          cur += size_t(BitExtract(CodeWords(), glo + cur, b)) + 1;
-        }
-        cnt += k;
-        kernel++;
-        continue;
-      }
-      size_t ncand = 0;
-      bool have_cand = false;
-      if (pfor_kernel) {
-        ncand = BitSelectBetween(words, glen, b, clo, chi, 0, cand);
-        have_cand = true;
-      } else if (have_qual) {
-        uint32_t codes[kEntryGroup];
-        BitUnpack(words, glen, b, codes);
-        for (size_t i = 0; i < glen; i++) {
-          cand[ncand] = uint32_t(i);
-          ncand += size_t(qual[ClampDictCode(codes[i])]);
-        }
-        have_cand = true;
-      }
-      if (!have_cand) {
+      if (!pfor_kernel && !have_qual) {
         T decoded[kEntryGroup];
         DecodeGroup(g, glen, decoded);
         for (size_t i = wlo; i < whi; i++) {
@@ -321,54 +255,55 @@ class SegmentReader {
         decoded_groups++;
         continue;
       }
-      kernel++;
-      // Walk the group's patch list: exception slots carry gap codes the
-      // candidate pass may have mis-judged, so each one is re-decided on
-      // its stored exception value, then merged (both lists ascending).
-      size_t cur = EntryFirstOffset(entry);
-      size_t j = first_exc;
-      uint32_t exc_pos[kEntryGroup];
-      bool exc_in[kEntryGroup];
-      size_t nexc = 0;
-      const T* exc_end = ExcEnd();
-      for (size_t k = 0; k < group_exc && cur < glen; k++) {
-        const T v = exc_end[-(ptrdiff_t(j) + 1)];
-        exc_pos[nexc] = uint32_t(cur);
-        exc_in[nexc] = v >= lo && v <= hi;
-        nexc++;
-        j++;
+      // Kernel path over the whole group. A group inside the window emits
+      // final indices straight into `out`; a cut group selects into
+      // `local` (group-relative) and copies out the window's share.
+      const bool whole = wlo == 0 && whi == glen;
+      uint32_t local[kEntryGroup];
+      uint32_t* sel = whole ? out + cnt : local;
+      const uint32_t rel = whole ? uint32_t(glo - start) : 0;
+      const uint32_t* words = CodeWords() + g * (kEntryGroup / 32) * size_t(b);
+      size_t k;
+      if (pfor_kernel) {
+        k = BitSelectBetween(words, glen, b, clo, chi, rel, sel);
+      } else {
+        uint32_t codes[kEntryGroup];
+        BitUnpack(words, glen, b, codes);
+        k = 0;
+        for (size_t i = 0; i < glen; i++) {
+          sel[k] = rel + uint32_t(i);
+          k += size_t(qual[ClampDictCode(codes[i])]);
+        }
+      }
+      // The selection judged each exception slot's gap code, not its
+      // value: re-decide it on the stored exception value and insert into
+      // / remove from the sorted run with a short memmove.
+      const GroupExceptions exc = ExceptionsOf(g);
+      size_t cur = exc.first;
+      for (size_t e = 0; e < exc.count && cur < glen; e++) {
+        const T v = Exception(exc.index + e);
+        const bool want = v >= lo && v <= hi;
+        const uint32_t target = rel + uint32_t(cur);
+        uint32_t* p = std::lower_bound(sel, sel + k, target);
+        const bool have = p != sel + k && *p == target;
+        if (want && !have) {
+          std::memmove(p + 1, p, size_t(sel + k - p) * sizeof(uint32_t));
+          *p = target;
+          k++;
+        } else if (!want && have) {
+          std::memmove(p, p + 1, size_t(sel + k - p - 1) * sizeof(uint32_t));
+          k--;
+        }
         cur += size_t(BitExtract(CodeWords(), glo + cur, b)) + 1;
       }
-      // No exceptions: skip the merge, just window-filter the candidates.
-      if (nexc == 0) {
-        for (size_t i = 0; i < ncand; i++) {
-          const uint32_t pos = cand[i];
-          out[cnt] = uint32_t(glo + pos - start);
-          cnt += size_t(pos >= wlo && pos < whi);
-        }
-        continue;
+      if (whole) {
+        cnt += k;
+      } else {
+        uint32_t* from = std::lower_bound(local, local + k, wlo);
+        uint32_t* to = std::lower_bound(from, local + k, whi);
+        for (; from != to; from++) out[cnt++] = uint32_t(glo + *from - start);
       }
-      size_t ci = 0, ei = 0;
-      while (ci < ncand || ei < nexc) {
-        uint32_t pos;
-        bool emit;
-        if (ei == nexc || (ci < ncand && cand[ci] < exc_pos[ei])) {
-          pos = cand[ci++];
-          emit = true;
-        } else if (ci == ncand || exc_pos[ei] < cand[ci]) {
-          pos = exc_pos[ei];
-          emit = exc_in[ei];
-          ei++;
-        } else {  // a gap code false-qualified this exception slot
-          pos = exc_pos[ei];
-          emit = exc_in[ei];
-          ci++;
-          ei++;
-        }
-        if (emit && pos >= wlo && pos < whi) {
-          out[cnt++] = uint32_t(glo + pos - start);
-        }
-      }
+      kernel++;
     }
     // Batched per call (one vector), not per group.
     if (skipped) cm.pushdown_groups_skipped->Add(skipped);
@@ -416,15 +351,9 @@ class SegmentReader {
       std::memcpy(codes + (lo - start), gcodes + (lo - glo),
                   (hi - lo) * sizeof(uint32_t));
       // Walk this group's exception list; report in-range members.
-      const uint32_t entry = Entries()[g];
-      size_t cur = EntryFirstOffset(entry);
-      const size_t gstart = EntryExceptionIndex(entry);
-      const size_t gend = std::min<size_t>(
-          g + 1 < hdr_.entry_count ? EntryExceptionIndex(Entries()[g + 1])
-                                   : hdr_.exception_count,
-          hdr_.exception_count);
-      const size_t group_exc = gend > gstart ? gend - gstart : 0;
-      for (size_t k = 0; k < group_exc && cur < glen; k++) {
+      const GroupExceptions exc = ExceptionsOf(g);
+      size_t cur = exc.first;
+      for (size_t k = 0; k < exc.count && cur < glen; k++) {
         size_t pos = glo + cur;
         if (pos >= lo && pos < hi) {
           exception_positions->push_back(uint32_t(pos - start));
@@ -454,9 +383,31 @@ class SegmentReader {
   const uint32_t* CodeWords() const {
     return reinterpret_cast<const uint32_t*>(data_ + hdr_.codes_offset);
   }
-  /// Exception i is at ExcEnd()[-(i+1)] — the section grows backward.
-  const T* ExcEnd() const {
-    return reinterpret_cast<const T*>(data_ + hdr_.total_size);
+  /// Exception i; the section grows backward from the segment's end.
+  T Exception(size_t i) const {
+    const T* end = reinterpret_cast<const T*>(data_ + hdr_.total_size);
+    return end[-(ptrdiff_t(i) + 1)];
+  }
+
+  /// Group g's patch list: the group offset of its first member
+  /// (kNoException, past any group, when it has none), that member's
+  /// index in the exception section, and the member count. The count is
+  /// clamped so corrupt headers or entry points can never drive a walk
+  /// past the exception section (defense in depth on top of Validate());
+  /// every walk also stops at the group's end.
+  struct GroupExceptions {
+    size_t first;
+    size_t index;
+    size_t count;
+  };
+  GroupExceptions ExceptionsOf(size_t g) const {
+    const uint32_t entry = Entries()[g];
+    const size_t index = EntryExceptionIndex(entry);
+    const size_t end = std::min<size_t>(
+        g + 1 < hdr_.entry_count ? EntryExceptionIndex(Entries()[g + 1])
+                                 : hdr_.exception_count,
+        hdr_.exception_count);
+    return {EntryFirstOffset(entry), index, end > index ? end - index : 0};
   }
 
   /// Bounds a (possibly corrupt) dictionary code to the padded dictionary
@@ -481,31 +432,21 @@ class SegmentReader {
   void DecodeGroup(size_t g, size_t glen, T* __restrict out) const {
     const int b = hdr_.bit_width;
     const uint32_t* words = CodeWords() + g * (kEntryGroup / 32) * size_t(b);
-    const uint32_t entry = Entries()[g];
-    const uint32_t first = EntryFirstOffset(entry);
-    const T* exc_end = ExcEnd();
-    size_t j = EntryExceptionIndex(entry);
-    // Number of exceptions in this group bounds the LOOP2 walk (the final
-    // list member's gap code is unused). Clamped so corrupt headers or
-    // entry points can never drive the walk past the group or the
-    // exception section (defense in depth on top of Validate()).
-    const size_t group_end = std::min<size_t>(
-        g + 1 < hdr_.entry_count ? EntryExceptionIndex(Entries()[g + 1])
-                                 : hdr_.exception_count,
-        hdr_.exception_count);
-    const size_t group_exc = group_end > j ? group_end - j : 0;
+    // The exception count bounds the LOOP2 walk (the final list member's
+    // gap code is unused).
+    const GroupExceptions exc = ExceptionsOf(g);
     switch (scheme()) {
       case Scheme::kPFor: {
         const U base = U(uint64_t(hdr_.base_bits));
         UnpackForInto(words, glen, b, base, out);
-        PatchFused(base, glen, first, group_exc, j, exc_end, out);
+        PatchFused(base, glen, exc, out);
         break;
       }
       case Scheme::kPForDelta: {
         const U base = U(uint64_t(hdr_.base_bits));
         UnpackForInto(words, glen, b, base, out);
         /* patch BEFORE the running sum (paper footnote 3) */
-        PatchFused(base, glen, first, group_exc, j, exc_end, out);
+        PatchFused(base, glen, exc, out);
         RunningSumInto(out, glen, U(Bases()[g]));
         break;
       }
@@ -524,9 +465,10 @@ class SegmentReader {
             out[i] = dict[ClampDictCode(codes[i])];
           }
         }
-        for (size_t cur = first, k = 0; k < group_exc && cur < glen; k++) {
-          size_t next = cur + size_t(codes[cur]) + 1;
-          out[cur] = exc_end[-(ptrdiff_t(j++) + 1)];
+        for (size_t cur = exc.first, k = 0; k < exc.count && cur < glen;
+             k++) {
+          const size_t next = cur + size_t(codes[cur]) + 1;
+          out[cur] = Exception(exc.index + k);
           cur = next;
         }
         break;
@@ -558,11 +500,11 @@ class SegmentReader {
   /// LOOP2 without a code array: before patching, out[cur] still holds
   /// base + gap_code, so the next-position step recovers the gap from the
   /// decoded value itself.
-  static void PatchFused(U base, size_t glen, size_t first, size_t group_exc,
-                         size_t j, const T* exc_end, T* __restrict out) {
-    for (size_t cur = first, k = 0; k < group_exc && cur < glen; k++) {
-      size_t next = cur + size_t(uint32_t(U(out[cur]) - base)) + 1;
-      out[cur] = exc_end[-(ptrdiff_t(j++) + 1)];
+  void PatchFused(U base, size_t glen, const GroupExceptions& exc,
+                  T* __restrict out) const {
+    for (size_t cur = exc.first, k = 0; k < exc.count && cur < glen; k++) {
+      const size_t next = cur + size_t(uint32_t(U(out[cur]) - base)) + 1;
+      out[cur] = Exception(exc.index + k);
       cur = next;
     }
   }
@@ -589,25 +531,16 @@ class SegmentReader {
     const int b = hdr_.bit_width;
     const size_t g = idx / kEntryGroup;
     const size_t x = idx % kEntryGroup;
-    const uint32_t entry = Entries()[g];
-    size_t i = EntryFirstOffset(entry);  // kNoException = 0x80 ends walk
-    size_t j = EntryExceptionIndex(entry);
-    const size_t group_end = std::min<size_t>(
-        g + 1 < hdr_.entry_count ? EntryExceptionIndex(Entries()[g + 1])
-                                 : hdr_.exception_count,
-        hdr_.exception_count);
-    const size_t group_exc = group_end > j ? group_end - j : 0;
+    const GroupExceptions exc = ExceptionsOf(g);
     const uint32_t* words = CodeWords();
     const size_t gbase = g * kEntryGroup;
+    size_t i = exc.first;  // kNoException = 0x80 ends the walk
     size_t k = 0;
-    while (k < group_exc && i < x) {
+    while (k < exc.count && i < x) {
       i += BitExtract(words, gbase + i, b) + 1;
-      j++;
       k++;
     }
-    if (k < group_exc && i == x) {
-      return ExcEnd()[-(ptrdiff_t(j) + 1)];
-    }
+    if (k < exc.count && i == x) return Exception(exc.index + k);
     return decode(BitExtract(words, gbase + x, b));
   }
 

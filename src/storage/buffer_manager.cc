@@ -2,25 +2,6 @@
 
 namespace scc {
 
-namespace {
-
-/// Copies `src` through the fault injector without charging the disk
-/// (the caller already charged the I/O unit, and holds the device lock
-/// via WithLockedFaults).
-Status MaterializeFaulted(FaultInjector* f, const AlignedBuffer& src,
-                          AlignedBuffer* out) {
-  out->Resize(src.size());
-  if (src.size() > 0) std::memcpy(out->data(), src.data(), src.size());
-  if (f != nullptr) {
-    size_t got = src.size();
-    SCC_RETURN_NOT_OK(f->OnRead(out->data(), &got));
-    if (got != src.size()) out->Resize(got);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 BufferManager::BufferManager(SimDisk* disk, size_t capacity_bytes,
                              Layout layout, TierConfig tiers)
     : disk_(disk),
@@ -202,16 +183,7 @@ Status BufferManager::ReadPage(const Table* table, const StoredColumn* col,
       // PAX simplification: the whole row group is charged as one I/O
       // but faults/verification apply to the requested column's page —
       // sibling columns get their own guarded read when first fetched.
-      if (layout_ == Layout::kDSM) {
-        st = dev->ReadChunkInto(src.data(), src.size(), page);
-      } else {
-        // Charge the row group and run the column's faulted copy inside
-        // the device's critical section, so concurrent readers see the
-        // injector's fault sequence at whole-read granularity.
-        st = dev->WithLockedFaults(unit_bytes, [&](FaultInjector* f) {
-          return MaterializeFaulted(f, src, page);
-        });
-      }
+      st = dev->ReadChunkInto(src.data(), src.size(), unit_bytes, page);
       if (st.ok() && page->size() != src.size()) {
         st = Status::Corruption("short page read: got " +
                                 std::to_string(page->size()) + " of " +

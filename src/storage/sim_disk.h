@@ -75,16 +75,19 @@ class SimDisk {
     ChargeReadLocked(bytes);
   }
 
-  /// Charges one chunk read AND materializes the page into `out`,
-  /// applying any attached fault injector to the copy. Time and bandwidth
-  /// are charged even when the read fails — the device did the work.
-  /// On a short (truncated) read, `out->size()` reports the bytes that
-  /// actually arrived.
-  Status ReadChunkInto(const uint8_t* src, size_t bytes, AlignedBuffer* out) {
+  /// Charges one read of a `unit_bytes` I/O unit AND materializes the
+  /// `bytes`-byte page at `src` into `out`, applying any attached fault
+  /// injector to the copy. The unit is the page itself, or under PAX the
+  /// whole row group the page belongs to. Time and bandwidth are charged
+  /// even when the read fails — the device did the work. On a short
+  /// (truncated) read, `out->size()` reports the bytes that actually
+  /// arrived.
+  Status ReadChunkInto(const uint8_t* src, size_t bytes, size_t unit_bytes,
+                       AlignedBuffer* out) {
     // One critical section for charge + copy + fault so the injector sees
     // whole reads in a definite order, never interleaved halves.
     std::lock_guard<std::mutex> lock(mu_);
-    ChargeReadLocked(bytes);
+    ChargeReadLocked(unit_bytes);
     out->Resize(bytes);
     if (bytes > 0) std::memcpy(out->data(), src, bytes);
     if (faults_ != nullptr) {
@@ -104,17 +107,6 @@ class SimDisk {
     bytes_written_ += persisted;
     io_seconds_ += TransferSeconds(config_, bytes);
     return persisted;
-  }
-
-  /// Runs `fn(faults())` inside the device's critical section — for
-  /// callers that need the injector's fault sequence and the disk charge
-  /// to be one atomic step (e.g. the buffer manager's PAX read path).
-  /// `fn` must not call back into this SimDisk.
-  template <typename Fn>
-  auto WithLockedFaults(size_t charge_bytes, Fn&& fn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ChargeReadLocked(charge_bytes);
-    return fn(faults_);
   }
 
   /// Attaches (or detaches, with nullptr) a fault injector. Not owned.

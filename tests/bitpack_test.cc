@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel_isa_test_util.h"
 #include "util/rng.h"
 
 namespace scc {
@@ -102,7 +101,7 @@ TEST_P(BackendDifferential, UnpackMatchesScalar) {
       ScopedKernelIsa force(KernelIsa::kScalar);
       BitUnpack(packed.data(), n, b, want.data());
     }
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<uint32_t> got(rounded, 0xABABABAB);
       BitUnpack(packed.data(), n, b, got.data());
@@ -124,7 +123,7 @@ TEST_P(BackendDifferential, ExactWritesOnlyN) {
     auto in = RandomCodes(n, b, 77 + b);
     std::vector<uint32_t> packed(PackedByteSize(n, b) / 4 + 1, 0);
     BitPack(in.data(), n, b, packed.data());
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       // Guard canary directly after position n must survive.
       std::vector<uint32_t> got(n + 8, 0xCAFEF00D);
@@ -150,7 +149,7 @@ TEST_P(BackendDifferential, FusedForMatchesScalar) {
     auto in = RandomCodes(n, b, 5 + b);
     std::vector<uint32_t> packed(PackedByteSize(n, b) / 4 + 1, 0);
     BitPack(in.data(), n, b, packed.data());
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<uint32_t> got32(n, 0);
       std::vector<uint64_t> got64(n, 0);
@@ -198,7 +197,7 @@ TEST_P(BackendDifferential, SelectBetweenMatchesScalar) {
           if (in[i] >= lo && in[i] <= hi) want.push_back(base_index + i);
         }
       }
-      for (KernelIsa isa : SupportedIsas()) {
+      for (KernelIsa isa : SupportedKernelIsas()) {
         ScopedKernelIsa force(isa);
         std::vector<uint32_t> got(n + 8, 0xCAFEF00D);
         const size_t cnt =
@@ -230,7 +229,7 @@ TEST_P(BackendDifferential, ExactSizeHeapBuffers) {
   for (size_t n : {1u, 17u, 32u, 96u, 127u, 128u, 129u, 1000u}) {
     auto in = RandomCodes(n, b, 271 + b);
     const size_t packed_words = PackedByteSize(n, b) / 4;
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<uint32_t> packed(packed_words, 0);
       BitPack(in.data(), n, b, packed.data());
@@ -271,7 +270,7 @@ TEST(BackendDifferentialFlat, ForDecodeAndPrefixSum) {
       PrefixSum32(want_ps32.data(), n, base32);
       PrefixSum64(want_ps64.data(), n, base64);
     }
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<uint32_t> got_for32(n);
       std::vector<uint64_t> got_for64(n);
@@ -294,10 +293,11 @@ TEST(KernelDispatch, QueryAndForce) {
   // one of the supported ones.
   EXPECT_TRUE(KernelIsaSupported(KernelIsa::kScalar));
   EXPECT_TRUE(KernelIsaSupported(ActiveKernelIsa()));
-  const KernelIsa original = ActiveKernelIsa();
+  ScopedKernelIsa restore(ActiveKernelIsa());
+  EXPECT_EQ(SupportedKernelIsas().front(), KernelIsa::kScalar);
   EXPECT_TRUE(SetKernelIsa(KernelIsa::kScalar));
   EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kScalar);
-  for (KernelIsa isa : SupportedIsas()) {
+  for (KernelIsa isa : SupportedKernelIsas()) {
     EXPECT_TRUE(SetKernelIsa(isa));
     EXPECT_EQ(ActiveKernelIsa(), isa);
     EXPECT_STRNE(KernelIsaName(isa), "?");
@@ -305,7 +305,6 @@ TEST(KernelDispatch, QueryAndForce) {
   if (!KernelIsaSupported(KernelIsa::kAvx2)) {
     EXPECT_FALSE(SetKernelIsa(KernelIsa::kAvx2));
   }
-  SetKernelIsa(original);
 }
 
 }  // namespace

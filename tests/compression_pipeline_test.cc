@@ -11,7 +11,6 @@
 #include "core/segment_builder.h"
 #include "core/segment_reader.h"
 #include "storage/bulk_load.h"
-#include "kernel_isa_test_util.h"
 #include "util/rng.h"
 
 // Write-path differential battery (PR 5). The contract under test: the
@@ -50,7 +49,7 @@ TEST(PackKernelsDifferential, BitPackMatchesReferenceOnEveryIsa) {
     for (auto& v : in) v = uint32_t(rng.Next());
     for (int b = 0; b <= kMaxBitWidth; b++) {
       const std::vector<uint32_t> want = ReferencePack(in, b);
-      for (KernelIsa isa : SupportedIsas()) {
+      for (KernelIsa isa : SupportedKernelIsas()) {
         ScopedKernelIsa pin(isa);
         // Poisoned exact-size buffer: a kernel that skips pad lanes (or
         // fails to mask stray high bits) leaves 0xAB bytes behind.
@@ -84,7 +83,7 @@ TEST(PackKernelsDifferential, FusedForEncodeMatchesSubtractThenPack) {
       }
       const std::vector<uint32_t> want32 = ReferencePack(codes32, b);
       const std::vector<uint32_t> want64 = ReferencePack(codes64, b);
-      for (KernelIsa isa : SupportedIsas()) {
+      for (KernelIsa isa : SupportedKernelIsas()) {
         ScopedKernelIsa pin(isa);
         std::vector<uint32_t> got(want32.size(), 0xABABABABu);
         uint32_t dummy;
@@ -117,7 +116,7 @@ TEST(PackKernelsDifferential, DeltaEncodeInvertsPrefixSum) {
       in32[i] = a32;
       in64[i] = a64;
     }
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa pin(isa);
       DeltaEncode32(in32.data(), n, 42, d32.data());
       DeltaEncode64(in64.data(), n, 7, d64.data());
@@ -151,7 +150,7 @@ TEST(PackKernelsSlack, TrailingGroupNeverWritesPastPackedSize) {
     std::vector<uint64_t> big(n, (uint64_t(1) << 40) | 5);
     for (int b = 0; b <= kMaxBitWidth; b++) {
       const size_t words = PackedByteSize(n, b) / 4;
-      for (KernelIsa isa : SupportedIsas()) {
+      for (KernelIsa isa : SupportedKernelIsas()) {
         ScopedKernelIsa pin(isa);
         auto exact = std::make_unique<uint32_t[]>(words);
         BitPack(in.data(), n, b, exact.get());
@@ -194,7 +193,7 @@ TEST(SegmentPipelineCrossIsa, SegmentsAreByteIdenticalAcrossIsas) {
         std::span<const int64_t>(dict_vals)}) {
     std::vector<uint8_t> want;
     Scheme scheme{};
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa pin(isa);
       std::vector<uint8_t> got = BuildBytes(column);
       auto reader = SegmentReader<int64_t>::Open(got.data(), got.size());
@@ -225,7 +224,7 @@ TEST(SegmentPipelineCrossIsa, FusedAndPatchedPathsRoundTrip) {
       x = 1000 + int64_t(rng.Uniform(4000));
       if (rate > 0 && rng.Bernoulli(rate)) x = int64_t(rng.Next());
     }
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa pin(isa);
       CompressionChoice<int64_t> choice = Analyzer<int64_t>::Analyze(v);
       auto seg = SegmentBuilder<int64_t>::Build(v, choice);

@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bitpack/bitpack_dispatch.h"
 #include "core/segment_builder.h"
 #include "core/segment_reader.h"
-#include "kernel_isa_test_util.h"
 #include "storage/buffer_manager.h"
 #include "storage/fault_injector.h"
 #include "storage/sim_disk.h"
@@ -274,7 +274,7 @@ TEST(CorruptionBattery, SeededRandomCorruptionRounds) {
 TEST(CorruptionBattery, AllIsasSurviveFlippedSegments) {
   // The SIMD decode kernels must be as corruption-proof as the scalar
   // path: replay a reduced flip sweep under every supported backend.
-  const auto isas = SupportedIsas();
+  const auto isas = SupportedKernelIsas();
   for (KernelIsa isa : isas) {
     ScopedKernelIsa force(isa);
     size_t accepted = 0;

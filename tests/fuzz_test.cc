@@ -12,7 +12,6 @@
 #include "core/kernels.h"
 #include "core/segment_reader.h"
 #include "ir/posting_codec.h"
-#include "kernel_isa_test_util.h"
 #include "util/rng.h"
 
 // Decoder robustness fuzzing: every decompressor must survive arbitrary
@@ -137,7 +136,7 @@ TEST(FuzzDecoders, StructureAwareMutantsAgreeAcrossBackends) {
   // accept/reject decision, and bit-identical decode when accepted. This
   // pins the SIMD paths to the scalar reference on hostile input, not
   // just on valid streams.
-  const auto isas = SupportedIsas();
+  const auto isas = SupportedKernelIsas();
   Rng rng(2026);
   std::vector<int64_t> values(4000);
   for (auto& v : values) {
@@ -251,7 +250,7 @@ TEST(FuzzDecoders, BackendsAgreeOnRandomStreams) {
   // byte-identical output from every backend. This is the freeform
   // counterpart of the structured differential suites in
   // bitpack_test/property_test.
-  const auto isas = SupportedIsas();
+  const auto isas = SupportedKernelIsas();
   for (uint64_t seed = 0; seed < FuzzIters(200); seed++) {
     Rng rng(seed * 31 + 7);
     const int b = int(rng.Uniform(33));

@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bitpack/bitpack_dispatch.h"
 #include "core/analyzer.h"
 #include "core/kernels.h"
 #include "core/segment_builder.h"
 #include "core/segment_reader.h"
-#include "kernel_isa_test_util.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -221,7 +221,7 @@ TEST_P(SegmentPropertyTest, BackendsAgreeOnSegmentDecode) {
       r.DecompressAll(want.data());
     }
     ASSERT_EQ(want, v);
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<int64_t> got(n, -1);
       r.DecompressAll(got.data());
@@ -261,7 +261,7 @@ TEST_P(SegmentPropertyTest, BackendsAgreeOnFlatKernels) {
                              first, nexc, T(42), want_delta.data());
     }
     ASSERT_EQ(want, in);
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa force(isa);
       std::vector<T> got(n), got_delta(n);
       DecompressPatched(code.data(), n, ForCodec<T>(base), exc.data(),

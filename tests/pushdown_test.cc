@@ -1,15 +1,18 @@
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bitpack/bitpack_dispatch.h"
 #include "core/segment_builder.h"
 #include "core/segment_reader.h"
 #include "engine/primitives.h"
 #include "exec/parallel_scan.h"
-#include "kernel_isa_test_util.h"
 #include "storage/buffer_manager.h"
 #include "storage/scan.h"
 #include "storage/sim_disk.h"
@@ -25,6 +28,28 @@
 
 namespace scc {
 namespace {
+
+// SelectBetween over [start, start + len) against a scalar select over
+// the source values, on every supported kernel backend. `out` gets exactly
+// `len` entries, so an overrun shows under the sanitizers.
+template <typename T>
+void ExpectSelect(const SegmentReader<T>& r, const std::vector<T>& values,
+                  size_t start, size_t len, T lo, T hi) {
+  std::vector<uint32_t> want;
+  for (size_t i = start; i < start + len; i++) {
+    if (values[i] >= lo && values[i] <= hi) {
+      want.push_back(uint32_t(i - start));
+    }
+  }
+  for (KernelIsa isa : SupportedKernelIsas()) {
+    ScopedKernelIsa force(isa);
+    std::vector<uint32_t> got(len, 0xCAFEF00D);
+    got.resize(r.SelectBetween(start, len, lo, hi, got.data()));
+    ASSERT_EQ(want, got) << "isa=" << KernelIsaName(isa)
+                         << " start=" << start << " len=" << len
+                         << " lo=" << int64_t(lo) << " hi=" << int64_t(hi);
+  }
+}
 
 // Reference: decode the whole segment once, select scalar per query.
 template <typename T>
@@ -48,24 +73,8 @@ void CheckSelectDifferential(const AlignedBuffer& seg,
     if (rng.Bernoulli(0.1)) a = std::numeric_limits<T>::min();
     if (rng.Bernoulli(0.1)) b = std::numeric_limits<T>::max();
     if (rng.Bernoulli(0.1)) b = a;  // point query
-    std::vector<uint32_t> want;
-    for (size_t i = start; i < start + len; i++) {
-      if (values[i] >= a && values[i] <= b) {
-        want.push_back(uint32_t(i - start));
-      }
-    }
-    for (KernelIsa isa : SupportedIsas()) {
-      ScopedKernelIsa force(isa);
-      std::vector<uint32_t> got(len, 0xCAFEF00D);
-      const size_t cnt = r.SelectBetween(start, len, a, b, got.data());
-      ASSERT_EQ(want.size(), cnt)
-          << "isa=" << KernelIsaName(isa) << " q=" << q << " start=" << start
-          << " len=" << len << " lo=" << int64_t(a) << " hi=" << int64_t(b);
-      for (size_t i = 0; i < cnt; i++) {
-        ASSERT_EQ(want[i], got[i])
-            << "isa=" << KernelIsaName(isa) << " q=" << q << " i=" << i;
-      }
-    }
+    SCOPED_TRACE(q);
+    ExpectSelect(r, values, start, len, a, b);
   }
   // Inverted bounds select nothing.
   if (n > 1) {
@@ -209,6 +218,126 @@ TEST(Pushdown, UncompressedScalarPath) {
   auto seg = SegmentBuilder<int64_t>::BuildUncompressed(in);
   ASSERT_TRUE(seg.ok());
   CheckSelectDifferential(seg.ValueOrDie(), in, 23);
+}
+
+// ---------------------------------------------------------------------------
+// Windows cut at group and vector edges. The random windows above rarely
+// start or end exactly beside a 128-value group boundary or a 1024-value
+// vector boundary; these windows start and end at every such edge, and
+// every edge slot holds an exception.
+
+constexpr size_t kEdgeN = 3000;
+constexpr size_t kEdges[] = {127,  128,  129,  1023, 1024,
+                             1025, 2047, 2048, 2049};
+
+// Runs every edge window under each [lo, hi] predicate.
+template <typename T>
+void CheckEdgeWindows(const AlignedBuffer& seg, const std::vector<T>& values,
+                      std::initializer_list<std::pair<T, T>> preds) {
+  auto reader = SegmentReader<T>::Open(seg.data(), seg.size());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const auto& r = reader.ValueOrDie();
+  if (r.scheme() != Scheme::kUncompressed) {
+    ASSERT_GE(r.exception_count(), std::size(kEdges));
+  }
+  for (size_t a : kEdges) {
+    std::vector<std::pair<size_t, size_t>> windows = {
+        {a, a + 1}, {a, kEdgeN}, {0, a}};
+    for (size_t b : kEdges) {
+      if (a < b) windows.push_back({a, b});
+    }
+    for (auto [from, to] : windows) {
+      for (auto [lo, hi] : preds) {
+        ExpectSelect(r, values, from, to - from, lo, hi);
+      }
+    }
+  }
+}
+
+TEST(PushdownEdges, PFor) {
+  // b = 8: the frame is [base, base + 255], every edge slot an exception
+  // above it.
+  const int64_t base = -500;
+  auto in = PForData<int64_t>(kEdgeN, 8, base, 0.05, 7);
+  for (size_t p : kEdges) in[p] = base + 256 + int64_t(p);
+  for (bool summaries : {false, true}) {
+    SCOPED_TRACE(summaries);
+    SegmentBuildOptions opts;
+    opts.with_summaries = summaries;
+    auto seg = SegmentBuilder<int64_t>::BuildPFor(
+        in, PForParams<int64_t>{8, base}, opts);
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    CheckEdgeWindows<int64_t>(seg.ValueOrDie(), in,
+                              {{base, base + 3000},
+                               {base + 256, base + 3000},  // exceptions only
+                               {base, base + 255},         // frame only
+                               {base + 100, base + 256 + 1024}});
+  }
+}
+
+TEST(PushdownEdges, CutGroupWritesOnlyTheWindow) {
+  // Every slot but one qualifies and there are no exceptions: a window
+  // that cuts the group must not emit the qualifying slots after it past
+  // `out`'s n entries (ExpectSelect's buffer is exact; ASan sees a write).
+  std::vector<int64_t> in(128, 5);
+  in[120] = 200;
+  SegmentBuildOptions opts;
+  opts.with_summaries = false;
+  auto seg = SegmentBuilder<int64_t>::BuildPFor(
+      in, PForParams<int64_t>{8, 0}, opts);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  auto r = SegmentReader<int64_t>::Open(seg.ValueOrDie().data(),
+                                        seg.ValueOrDie().size());
+  ASSERT_TRUE(r.ok());
+  ExpectSelect(r.ValueOrDie(), in, 0, 100, int64_t(0), int64_t(10));
+}
+
+TEST(PushdownEdges, PDict) {
+  std::vector<int64_t> dict;
+  for (int i = 0; i < 300; i++) dict.push_back(int64_t(i) * 37 - 4000);
+  Rng rng(3);
+  std::vector<int64_t> in(kEdgeN);
+  for (auto& v : in) v = dict[rng.Uniform(dict.size())];
+  for (size_t p : kEdges) in[p] = 50000 + int64_t(p);  // not in the dict
+  for (bool summaries : {false, true}) {
+    SCOPED_TRACE(summaries);
+    SegmentBuildOptions opts;
+    opts.with_summaries = summaries;
+    auto seg = SegmentBuilder<int64_t>::BuildPDict(
+        in, PDictParams<int64_t>{9, dict}, opts);
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    CheckEdgeWindows<int64_t>(seg.ValueOrDie(), in,
+                              {{-4000, 60000},
+                               {50000, 60000},  // exceptions only
+                               {-4000, 7063},   // dictionary only
+                               {0, 51024}});
+  }
+}
+
+TEST(PushdownEdges, PForDeltaAndUncompressed) {
+  // PFOR-DELTA decodes per group and uncompressed selects scalar; both
+  // must honour the same cut windows.
+  Rng rng(4);
+  std::vector<int64_t> in(kEdgeN);
+  int64_t acc = 0;
+  for (size_t i = 0; i < kEdgeN; i++) {
+    acc += int64_t(rng.Uniform(20));
+    // A delta past 5 bits on every edge slot: an exception.
+    if (std::count(std::begin(kEdges), std::end(kEdges), i)) acc += 1 << 20;
+    in[i] = acc;
+  }
+  auto delta = SegmentBuilder<int64_t>::BuildPForDelta(
+      in, PForParams<int64_t>{5, 0});
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  const std::initializer_list<std::pair<int64_t, int64_t>> preds = {
+      {in.front(), in.back()},
+      {in[128], in[1024]},
+      {in[1023], in[1023]},
+      {in[129], in[2048]}};
+  CheckEdgeWindows<int64_t>(delta.ValueOrDie(), in, preds);
+  auto raw = SegmentBuilder<int64_t>::BuildUncompressed(in);
+  ASSERT_TRUE(raw.ok());
+  CheckEdgeWindows<int64_t>(raw.ValueOrDie(), in, preds);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitpack/bitpack_dispatch.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -30,7 +31,6 @@
 #include "storage/sim_disk.h"
 #include "storage/table.h"
 #include "sys/telemetry.h"
-#include "kernel_isa_test_util.h"
 #include "util/rng.h"
 
 // scc_serve subsystem tests (docs/SERVICE.md): wire protocol round-trips,
@@ -357,7 +357,7 @@ TEST(ServiceTest, PointMatchesSourceAcrossTypes) {
 TEST(ServiceTest, ScanMatchesReferenceAcrossThreadsAndIsas) {
   Fixture f;
   for (unsigned threads : {1u, 4u}) {
-    for (KernelIsa isa : SupportedIsas()) {
+    for (KernelIsa isa : SupportedKernelIsas()) {
       ScopedKernelIsa forced(isa);
       ServiceOptions opts;
       opts.scan_threads = threads;

@@ -85,12 +85,34 @@ TEST(SimDiskTest, ReadChunkIntoCopiesAndCharges) {
   std::vector<uint8_t> src(1024);
   for (size_t i = 0; i < src.size(); i++) src[i] = uint8_t(i);
   AlignedBuffer out;
-  ASSERT_TRUE(disk.ReadChunkInto(src.data(), src.size(), &out).ok());
+  ASSERT_TRUE(
+      disk.ReadChunkInto(src.data(), src.size(), src.size(), &out).ok());
   ASSERT_EQ(out.size(), src.size());
   EXPECT_EQ(std::memcmp(out.data(), src.data(), src.size()), 0);
   EXPECT_EQ(disk.read_count(), 1u);
   EXPECT_EQ(disk.bytes_read(), src.size());
   EXPECT_GT(disk.io_seconds(), 0.0);
+}
+
+TEST(SimDiskTest, ReadChunkIntoChargesTheUnitAndCopiesThePage) {
+  // Under PAX the device charges the whole row group but copies (and
+  // faults) only the requested column's page.
+  SimDisk disk;
+  FaultInjector faults({.seed = 3, .bit_flip_prob = 1.0});
+  disk.AttachFaults(&faults);
+  std::vector<uint8_t> src(1024, 0x3C);
+  const size_t unit = 8 * src.size();
+  AlignedBuffer out;
+  ASSERT_TRUE(disk.ReadChunkInto(src.data(), src.size(), unit, &out).ok());
+  ASSERT_EQ(out.size(), src.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < src.size(); i++) differing += out.data()[i] != src[i];
+  EXPECT_EQ(differing, 1u);  // a faithful copy but for the one flipped bit
+  EXPECT_EQ(faults.stats().bit_flips, 1u);
+  EXPECT_EQ(disk.read_count(), 1u);
+  EXPECT_EQ(disk.bytes_read(), unit);
+  EXPECT_DOUBLE_EQ(disk.io_seconds(),
+                   SimDisk::TransferSeconds(disk.config(), unit));
 }
 
 TEST(SimDiskTest, InjectedIoErrorSurfacesAndStillCharges) {
@@ -99,7 +121,7 @@ TEST(SimDiskTest, InjectedIoErrorSurfacesAndStillCharges) {
   disk.AttachFaults(&faults);
   std::vector<uint8_t> src(512, 0xAB);
   AlignedBuffer out;
-  Status st = disk.ReadChunkInto(src.data(), src.size(), &out);
+  Status st = disk.ReadChunkInto(src.data(), src.size(), src.size(), &out);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
   // The device did the work even though the read failed.
@@ -114,7 +136,8 @@ TEST(SimDiskTest, TruncatedReadShrinksTheBuffer) {
   disk.AttachFaults(&faults);
   std::vector<uint8_t> src(512, 0xCD);
   AlignedBuffer out;
-  ASSERT_TRUE(disk.ReadChunkInto(src.data(), src.size(), &out).ok());
+  ASSERT_TRUE(
+      disk.ReadChunkInto(src.data(), src.size(), src.size(), &out).ok());
   EXPECT_LT(out.size(), src.size());
   EXPECT_EQ(faults.stats().truncations, 1u);
 }
@@ -259,7 +282,8 @@ TEST(SimDiskTest, TransferSecondsIsTheChargingFormula) {
   std::vector<uint8_t> src(3000, 0x5A);
   AlignedBuffer out;
   for (int i = 0; i < 4; i++) {
-    ASSERT_TRUE(disk.ReadChunkInto(src.data(), src.size(), &out).ok());
+    ASSERT_TRUE(
+      disk.ReadChunkInto(src.data(), src.size(), src.size(), &out).ok());
   }
   disk.WriteChunk(7000);
   disk.WriteChunk(100);

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bitpack/bitpack_dispatch.h"
 #include "core/codec_metrics.h"
 #include "exec/parallel_scan.h"
-#include "kernel_isa_test_util.h"
 #include "storage/sim_disk.h"
 #include "storage/table.h"
 #include "storage/tier_cache.h"
@@ -183,7 +183,7 @@ TEST(TieredBM, ScanAndPointReadDifferentialAcrossTierGrids) {
 TEST(TieredBM, DifferentialHoldsUnderEveryKernelIsa) {
   TestData d = MakeData(40000);
   const size_t bytes = d.t.ByteSize();
-  for (KernelIsa isa : SupportedIsas()) {
+  for (KernelIsa isa : SupportedKernelIsas()) {
     ScopedKernelIsa forced(isa);
     SimDisk base_disk;
     BufferManager base(&base_disk, size_t(1) << 30, Layout::kDSM);

@@ -117,10 +117,7 @@ size_t VerifyColumn(const StoredColumn& col) {
 void PrintIsa() {
   printf("active kernel isa: %s\n", KernelIsaName(ActiveKernelIsa()));
   printf("supported:        ");
-  for (int i = 0; i < kNumKernelIsas; i++) {
-    KernelIsa isa = KernelIsa(i);
-    if (KernelIsaSupported(isa)) printf(" %s", KernelIsaName(isa));
-  }
+  for (KernelIsa isa : SupportedKernelIsas()) printf(" %s", KernelIsaName(isa));
   printf("\n");
 }
 
