@@ -157,8 +157,8 @@ void RunParallelLeg(const TpchDatabase& comp_db, SimDisk::Config disk_cfg,
     {
       SimDisk disk(disk_cfg);
       BufferManager bm(&disk, size_t(1) << 34, Layout::kDSM);
-      par = RunTpchQueryParallel(q, comp_db, &bm,
-                                 TableScanOp::Mode::kVectorWise, threads);
+      par = RunTpchQuery(q, comp_db, &bm, TableScanOp::Mode::kVectorWise,
+                         threads);
     }
     SCC_CHECK(serial.checksum == par.checksum,
               "parallel and serial plans disagree");

@@ -1,7 +1,7 @@
-// workload_driver — closed-loop client harness for scc_serve
-// (docs/SERVICE.md). It measures the *service*: each client is a real TCP
-// connection issuing one request at a time, so the numbers include
-// framing, the admission gate, pool queueing, and the reply path.
+// workload_driver — client harness for scc_serve (docs/SERVICE.md). It
+// measures the *service*: each client is a real TCP connection, so the
+// numbers include framing, the admission gate, pool queueing, and the
+// reply path.
 //
 // Mixes:
 //   read_only    100% point lookups
@@ -18,20 +18,21 @@
 //                                         values[i] == lo+i
 //   agg    SUM/COUNT/MIN/MAX over the same predicate vs closed forms
 // Any failed or incorrect response makes the driver exit 1 — the CI
-// service smoke leg runs both mixes with --verify and trusts that.
+// service smoke leg runs both mixes with --verify and trusts that. When a
+// connection dies, every request of that client not yet answered counts
+// as failed.
 //
 // Shed (Unavailable) and DeadlineExceeded responses are the service
 // working as designed under overload; they are counted and reported but
 // are not failures and not latency samples.
 //
-// Modes (--mode):
-//   closed      one outstanding request per connection (the classic
-//               closed loop above)
-//   pipelined   each connection keeps --depth requests in flight over
-//               one PipelinedClient; responses arrive in completion
-//               order and are correlated by request_id, so every reply
-//               is still verified against the exact request that earned
-//               it. Mix names gain a ".pipelined" suffix in the report.
+// Modes (--mode) run one loop: each connection keeps a window of
+// requests in flight over one PipelinedClient, and replies are matched
+// to their requests by request_id, so every reply is verified against
+// the exact request that earned it.
+//   closed      a window of 1: one outstanding request per connection
+//   pipelined   a window of --depth; responses arrive in completion
+//               order. Mix names gain a ".pipelined" suffix in the report.
 //   both        closed then pipelined, one report per mode
 //
 // --tenants N assigns client i to tenant 1 + (i % N) (protocol v2) and
@@ -47,7 +48,6 @@
 // --json writes the benches' one report format (bench/bench_util.h).
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,31 +155,25 @@ struct LocalStats {
   }
 };
 
-/// Classifies one wire-level result into the client's local counters.
-/// Returns the response when it is OK (so the caller can verify the
-/// payload), nullptr otherwise. Only OK responses become latency samples.
-const Response* Classify(const Result<Response>& r, LocalStats* s,
-                         uint32_t tenant = 0) {
-  if (!r.ok()) {
-    s->failed++;
-    return nullptr;
-  }
-  const Response& resp = r.ValueOrDie();
+/// Counts one response into the client's local counters. Returns true
+/// when it is OK (so the caller can verify the payload); only OK
+/// responses become latency samples.
+bool Classify(const Response& resp, LocalStats* s, uint32_t tenant) {
   switch (resp.code) {
     case StatusCode::kOk:
       s->ok++;
       if (tenant < s->tenant_ok.size()) s->tenant_ok[tenant]++;
-      return &resp;
+      return true;
     case StatusCode::kUnavailable:
       s->shed++;
       if (tenant < s->tenant_shed.size()) s->tenant_shed[tenant]++;
-      return nullptr;
+      return false;
     case StatusCode::kDeadlineExceeded:
       s->deadline_exceeded++;
-      return nullptr;
+      return false;
     default:
       s->failed++;
-      return nullptr;
+      return false;
   }
 }
 
@@ -222,8 +216,15 @@ bool VerifyAggregates(Client* c, uint64_t rows, uint64_t seed) {
   return true;
 }
 
+/// Runs one mix. Each client keeps `depth` requests in flight on one
+/// PipelinedClient; depth 1 is the closed loop. Responses complete in any
+/// order, so every send is remembered by request_id and verified against
+/// its own parameters when its reply surfaces. Latency is send -> reply
+/// for that id; at depth > 1 it includes queueing behind the other
+/// in-flight requests, which is the price pipelining pays for its
+/// throughput.
 MixStats RunMix(const Options& opt, const std::string& name, int scan_pct,
-                uint64_t rows) {
+                uint64_t rows, size_t depth) {
   MixStats stats;
   stats.name = name;
   if (opt.tenants > 0) {
@@ -234,93 +235,6 @@ MixStats RunMix(const Options& opt, const std::string& name, int scan_pct,
   std::vector<std::vector<uint64_t>> point_lat(opt.clients);
   std::vector<std::vector<uint64_t>> scan_lat(opt.clients);
   const size_t per = (opt.ops + opt.clients - 1) / opt.clients;
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(opt.clients);
-  for (unsigned client = 0; client < opt.clients; client++) {
-    threads.emplace_back([&, client] {
-      Result<Client> conn = Client::Connect(opt.host, opt.port);
-      if (!conn.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        stats.failed += per;
-        return;
-      }
-      Client c = conn.MoveValueOrDie();
-      const uint32_t tenant = opt.TenantFor(client);
-      c.set_tenant_id(tenant);
-      LocalStats local(opt.tenants);
-      // Deterministic per (seed, client): replays identical request
-      // streams across runs. The mix name keeps the two mixes' streams
-      // distinct without coupling them to run order.
-      Rng rng(opt.seed + 7919 * client + (scan_pct > 0 ? 104729 : 0));
-      for (size_t i = 0; i < per; i++) {
-        const bool scan = int(rng.Uniform(100)) < scan_pct;
-        if (scan) {
-          const uint64_t lo = rng.Uniform(rows);
-          const uint64_t hi = std::min(lo + 1 + rng.Uniform(512), rows - 1);
-          const uint64_t want = hi - lo + 1;
-          Timer t;
-          Result<Response> r = c.Scan("id", "id", int64_t(lo), int64_t(hi),
-                                      want, opt.deadline_micros);
-          const uint64_t ns = uint64_t(t.ElapsedNanos());
-          if (const Response* resp = Classify(r, &local, tenant)) {
-            scan_lat[client].push_back(ns);
-            bool good = resp->total_matches == want &&
-                        resp->values.size() == size_t(want);
-            for (size_t k = 0; good && k < resp->values.size(); k++) {
-              good = resp->values[k] == int64_t(lo + k);
-            }
-            if (opt.verify && !good) local.incorrect++;
-          }
-        } else {
-          const uint64_t row = rng.Uniform(rows);
-          Timer t;
-          Result<Response> r = c.Point("id", row, opt.deadline_micros);
-          const uint64_t ns = uint64_t(t.ElapsedNanos());
-          if (const Response* resp = Classify(r, &local, tenant)) {
-            point_lat[client].push_back(ns);
-            if (opt.verify && uint64_t(resp->value) != row) local.incorrect++;
-          }
-        }
-        if (!c.connected()) break;  // transport gone; stop this client
-      }
-      local.MergeInto(&stats, &mu);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  stats.wall_seconds = wall.ElapsedSeconds();
-
-  for (auto& v : point_lat) {
-    stats.point.ns.insert(stats.point.ns.end(), v.begin(), v.end());
-  }
-  for (auto& v : scan_lat) {
-    stats.scan.ns.insert(stats.scan.ns.end(), v.begin(), v.end());
-  }
-  std::sort(stats.point.ns.begin(), stats.point.ns.end());
-  std::sort(stats.scan.ns.begin(), stats.scan.ns.end());
-  return stats;
-}
-
-/// Pipelined variant of RunMix: each client keeps opt.depth requests in
-/// flight on one PipelinedClient. Responses complete in any order, so
-/// every send is remembered by request_id and verified against its own
-/// parameters when its reply surfaces; latency is send -> reply for that
-/// id (it includes queueing behind the other depth-1 in-flight requests,
-/// which is the price pipelining pays for its throughput).
-MixStats RunPipelinedMix(const Options& opt, const std::string& name,
-                         int scan_pct, uint64_t rows) {
-  MixStats stats;
-  stats.name = name;
-  if (opt.tenants > 0) {
-    stats.tenant_ok.assign(opt.tenants + 1, 0);
-    stats.tenant_shed.assign(opt.tenants + 1, 0);
-  }
-  std::mutex mu;
-  std::vector<std::vector<uint64_t>> point_lat(opt.clients);
-  std::vector<std::vector<uint64_t>> scan_lat(opt.clients);
-  const size_t per = (opt.ops + opt.clients - 1) / opt.clients;
-  const size_t depth = opt.depth == 0 ? 1 : opt.depth;
 
   Timer wall;
   std::vector<std::thread> threads;
@@ -338,6 +252,9 @@ MixStats RunPipelinedMix(const Options& opt, const std::string& name,
       const uint32_t tenant = opt.TenantFor(client);
       c.set_tenant_id(tenant);
       LocalStats local(opt.tenants);
+      // Deterministic per (seed, client): replays identical request
+      // streams across runs. The mix name keeps the two mixes' streams
+      // distinct without coupling them to run order.
       Rng rng(opt.seed + 7919 * client + (scan_pct > 0 ? 104729 : 0));
       struct Pending {
         bool scan = false;
@@ -351,7 +268,7 @@ MixStats RunPipelinedMix(const Options& opt, const std::string& name,
       size_t sent = 0;
       size_t done = 0;
       while (done < per) {
-        while (sent < per && pend.size() < depth && c.connected()) {
+        while (sent < per && pend.size() < depth) {
           Pending p;
           Request req;
           p.scan = int(rng.Uniform(100)) < scan_pct;
@@ -379,17 +296,17 @@ MixStats RunPipelinedMix(const Options& opt, const std::string& name,
           pend.emplace(id.ValueOrDie(), std::move(p));
           sent++;
         }
-        if (pend.empty()) {
-          // Transport died with requests unsent: account and bail.
-          local.failed += per - done;
-          local.MergeInto(&stats, &mu);
-          return;
-        }
         Result<Response> r = c.Next();
+        if (!r.ok()) {
+          // The connection is gone: every request of this client not yet
+          // answered, sent or not, fails.
+          local.failed += per - done;
+          break;
+        }
         done++;
-        const Response* resp = Classify(r, &local, tenant);
-        if (!r.ok()) continue;  // connection is gone; loop drains via pend
-        auto it = pend.find(r.ValueOrDie().request_id);
+        const Response& resp = r.ValueOrDie();
+        const bool ok = Classify(resp, &local, tenant);
+        auto it = pend.find(resp.request_id);
         if (it == pend.end()) {
           // A response for a request we never sent (or answered twice):
           // correlation is broken, which --verify treats as incorrect.
@@ -399,18 +316,18 @@ MixStats RunPipelinedMix(const Options& opt, const std::string& name,
         Pending p = std::move(it->second);
         const uint64_t ns = uint64_t(p.sent.ElapsedNanos());
         pend.erase(it);
-        if (resp == nullptr) continue;  // shed/deadline: no sample
+        if (!ok) continue;  // shed/deadline: no sample
         if (p.scan) {
           scan_lat[client].push_back(ns);
-          bool good = resp->total_matches == p.want &&
-                      resp->values.size() == size_t(p.want);
-          for (size_t k = 0; good && k < resp->values.size(); k++) {
-            good = resp->values[k] == int64_t(p.lo + k);
+          bool good = resp.total_matches == p.want &&
+                      resp.values.size() == size_t(p.want);
+          for (size_t k = 0; good && k < resp.values.size(); k++) {
+            good = resp.values[k] == int64_t(p.lo + k);
           }
           if (opt.verify && !good) local.incorrect++;
         } else {
           point_lat[client].push_back(ns);
-          if (opt.verify && uint64_t(resp->value) != p.row) local.incorrect++;
+          if (opt.verify && uint64_t(resp.value) != p.row) local.incorrect++;
         }
       }
       local.MergeInto(&stats, &mu);
@@ -568,20 +485,18 @@ int Run(int argc, char** argv) {
   report.Config("depth", double(opt.depth));
   report.Config("tenants", opt.tenants);
   uint64_t failed = 0, incorrect = 0;
+  auto run = [&](const std::string& name, int scan_pct, size_t depth) {
+    MixStats s = RunMix(opt, name, scan_pct, rows, depth);
+    PrintAndCollect(s, &report);
+    failed += s.failed;
+    incorrect += s.incorrect;
+  };
   for (const Mix& mix : mixes) {
     if (opt.mix != "all" && opt.mix != mix.name) continue;
-    if (opt.mode == "closed" || opt.mode == "both") {
-      MixStats s = RunMix(opt, mix.name, mix.scan_pct, rows);
-      PrintAndCollect(s, &report);
-      failed += s.failed;
-      incorrect += s.incorrect;
-    }
-    if (opt.mode == "pipelined" || opt.mode == "both") {
-      MixStats s = RunPipelinedMix(opt, std::string(mix.name) + ".pipelined",
-                                   mix.scan_pct, rows);
-      PrintAndCollect(s, &report);
-      failed += s.failed;
-      incorrect += s.incorrect;
+    if (opt.mode != "pipelined") run(mix.name, mix.scan_pct, 1);
+    if (opt.mode != "closed") {
+      run(std::string(mix.name) + ".pipelined", mix.scan_pct,
+          std::max<size_t>(opt.depth, 1));
     }
   }
 

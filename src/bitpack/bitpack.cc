@@ -215,29 +215,6 @@ inline void ExactUnpackDriver(const uint32_t* in, size_t n, int b,
 
 }  // namespace
 
-void BitPackGroup32(const uint32_t* in, int b, uint32_t* out) {
-  SCC_DCHECK(b >= 0 && b <= 32);
-  const KernelOps& ops = bitpack_internal::Active();
-  if (DirectGroups(ops, 1, b) == 0) {
-    uint32_t padbuf[32 + kGroupSlackBytes / 4];
-    ops.pack[b](in, padbuf);
-    std::memcpy(out, padbuf, size_t(b) * sizeof(uint32_t));
-  } else {
-    ops.pack[b](in, out);
-  }
-}
-
-void BitUnpackGroup32(const uint32_t* in, int b, uint32_t* out) {
-  SCC_DCHECK(b >= 0 && b <= 32);
-  const KernelOps& ops = bitpack_internal::Active();
-  if (DirectGroups(ops, 1, b) == 0) {
-    TailPad pad;
-    ops.unpack[b](pad.Stage(in, b), out);
-  } else {
-    ops.unpack[b](in, out);
-  }
-}
-
 void BitPack(const uint32_t* in, size_t n, int b, uint32_t* out) {
   SCC_DCHECK(b >= 0 && b <= 32);
   const KernelOps& ops = bitpack_internal::Active();

@@ -108,13 +108,6 @@ void PrefixSum64(uint64_t* data, size_t n, uint64_t start);
 size_t BitSelectBetween(const uint32_t* in, size_t n, int b, uint32_t lo,
                         uint32_t hi, uint32_t base_index, uint32_t* out);
 
-/// Single-group entry points (exactly 32 values), used by the segment
-/// reader for fine-grained access. `b` in [0, 32]. Packed storage is
-/// exactly b words on both sides (BitPackGroup32 stages its store when the
-/// SIMD kernels would overshoot).
-void BitPackGroup32(const uint32_t* in, int b, uint32_t* out);
-void BitUnpackGroup32(const uint32_t* in, int b, uint32_t* out);
-
 /// Extracts the code at position `idx` from a packed stream without
 /// unpacking its group (used for point lookups in tests; the hot
 /// fine-grained path unpacks whole 128-value groups instead).

@@ -24,6 +24,11 @@
 
 namespace scc {
 
+/// Number of values a PDICT dictionary is amortized over (the chunk
+/// size); dictionary storage is charged to the estimate at this
+/// granularity.
+inline constexpr size_t kDictAmortization = 64 * 1024;
+
 template <CodecValue T>
 struct AnalyzerOptions {
   bool allow_pfor = true;
@@ -31,9 +36,6 @@ struct AnalyzerOptions {
   bool allow_pdict = true;
   /// PDICT dictionaries are capped at 2^max_dict_bits entries.
   int max_dict_bits = 16;
-  /// Number of values the dictionary is amortized over (the chunk size);
-  /// dictionary storage is charged to the estimate at this granularity.
-  size_t dict_amortization = 64 * 1024;
 };
 
 template <CodecValue T>
@@ -175,7 +177,7 @@ class Analyzer {
       const double e = 1.0 - double(covered[dict_size]) / double(n);
       double bits = EstimatedBitsPerValue(e, b, kValueBits);
       // Charge dictionary storage amortized over the chunk.
-      bits += double(dict_size) * kValueBits / double(opts.dict_amortization);
+      bits += double(dict_size) * kValueBits / double(kDictAmortization);
       if (bits < best->est_bits_per_value) {
         best->scheme = Scheme::kPDict;
         best->pdict.bit_width = b;

@@ -37,9 +37,9 @@ struct ThreadPool::Task {
 // store->load ordering the algorithm needs, expressed in a form TSan
 // models precisely — and spill to the pool's injection queue when full
 // rather than growing, so there is no buffer reclamation to reason about.
-// Tasks are coarse (a morsel is >= one compressed chunk), so none of this
-// is ever the bottleneck; what matters is that an owner push/pop is
-// uncontended and a steal is one CAS.
+// An owner push/pop is uncontended and a steal is one CAS; the locked
+// FIFOs prototyped in its place were slower end to end
+// (docs/PARALLELISM.md, "Why the pool keeps per-worker deques").
 struct ThreadPool::Deque {
   static constexpr size_t kCapacity = size_t(1) << 13;
   static constexpr size_t kMask = kCapacity - 1;

@@ -20,8 +20,10 @@
 //
 //  * One deque per worker (Chase-Lev): the owner pushes/pops at the
 //    bottom without contention; idle workers steal single tasks from the
-//    top. Decompression morsels are coarse (>= one 128K-value chunk), so
-//    steal traffic is rare and the deque is never the bottleneck.
+//    top. A morsel is at least one chunk (16K values in stackbench's
+//    tables), short enough that the queues show end to end: one locked
+//    FIFO in place of the deques raised stackbench's tiered_mixed p95 by
+//    34-47% (docs/PARALLELISM.md).
 //  * External threads submit through a mutex-guarded injection queue;
 //    tasks spawned *by* workers (e.g. a nested ParallelFor's helpers) go
 //    to the spawning worker's own deque and get stolen if it stays busy.

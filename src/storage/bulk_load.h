@@ -20,13 +20,13 @@
 // then the finished segments are stitched into the column in chunk order.
 //
 // Determinism guarantee: chunk ci's segment is a pure function of
-// (values[ci*chunk .. ), mode, sample_values, build options) — no state is
-// shared between chunk tasks, and slot ci of the output vector is written
-// only by the task that owns ci. Segment bytes, including the v2 CRC32C
-// section checksums, are therefore identical for every thread count — and
-// for every kernel ISA, because the pack kernels are byte-compatible
-// (bitpack_kernels.h). tests/compression_pipeline_test.cc holds this to
-// section-CRC equality across threads in {1, 2, 8}.
+// (values[ci*chunk .. ), mode) — no state is shared between chunk tasks,
+// and slot ci of the output vector is written only by the task that owns
+// ci. Segment bytes, including the v2 CRC32C section checksums, are
+// therefore identical for every thread count — and for every kernel ISA,
+// because the pack kernels are byte-compatible (bitpack_kernels.h).
+// tests/compression_pipeline_test.cc holds this to section-CRC equality
+// across threads in {1, 2, 8}.
 //
 // Header-only but requires linking scc_exec (the pool).
 
@@ -37,9 +37,6 @@ struct BulkLoadOptions {
   /// serial (the pool is never touched).
   unsigned threads = 0;
   ColumnCompression mode = ColumnCompression::kAuto;
-  /// Analyzer sample cap per chunk (the serial AddColumn default).
-  size_t sample_values = size_t(64) * 1024;
-  SegmentBuildOptions build;
 };
 
 /// Compresses `values` into a new column of `table` (chunked at the
@@ -65,8 +62,8 @@ Status BulkLoadColumn(Table* table, const std::string& name,
   auto build_one = [&](size_t ci) {
     const size_t lo = ci * chunk_values;
     const size_t n = std::min(chunk_values, values.size() - lo);
-    Result<AlignedBuffer> seg = BuildColumnChunk<T>(
-        values.subspan(lo, n), opts.mode, opts.sample_values, opts.build);
+    Result<AlignedBuffer> seg =
+        BuildColumnChunk<T>(values.subspan(lo, n), opts.mode);
     if (seg.ok()) {
       col->chunks[ci] = seg.MoveValueOrDie();
     } else {

@@ -59,25 +59,26 @@ enum class ColumnCompression {
   kPForDelta,    // force PFOR-DELTA
 };
 
-/// Builds one chunk's segment under `mode`, sampling up to `sample_values`
-/// values from the chunk head for the analyzer (Section 3.1). Pure
-/// function of its arguments — the unit of work both the serial
-/// Table::AddColumn loop and the parallel bulk loader
+/// Values the analyzer samples from the head of each chunk.
+inline constexpr size_t kChunkSampleValues = size_t(64) * 1024;
+
+/// Builds one chunk's segment under `mode`, sampling up to
+/// kChunkSampleValues values from the chunk head for the analyzer
+/// (Section 3.1). Pure function of its arguments — the unit of work both
+/// the serial Table::AddColumn loop and the parallel bulk loader
 /// (storage/bulk_load.h) fan out, which is what makes their outputs
 /// byte-identical.
 template <CodecValue T>
-Result<AlignedBuffer> BuildColumnChunk(
-    std::span<const T> chunk, ColumnCompression mode,
-    size_t sample_values = size_t(64) * 1024,
-    const SegmentBuildOptions& build_opts = {}) {
-  const size_t sample_n = std::min(chunk.size(), sample_values);
+Result<AlignedBuffer> BuildColumnChunk(std::span<const T> chunk,
+                                       ColumnCompression mode) {
+  const size_t sample_n = std::min(chunk.size(), kChunkSampleValues);
   switch (mode) {
     case ColumnCompression::kNone:
-      return SegmentBuilder<T>::BuildUncompressed(chunk, build_opts);
+      return SegmentBuilder<T>::BuildUncompressed(chunk);
     case ColumnCompression::kAuto: {
       CompressionChoice<T> choice =
           Analyzer<T>::Analyze(chunk.subspan(0, sample_n));
-      return SegmentBuilder<T>::Build(chunk, choice, build_opts);
+      return SegmentBuilder<T>::Build(chunk, choice);
     }
     case ColumnCompression::kPFor: {
       AnalyzerOptions<T> opts;
@@ -85,7 +86,7 @@ Result<AlignedBuffer> BuildColumnChunk(
       opts.allow_pdict = false;
       CompressionChoice<T> choice =
           Analyzer<T>::Analyze(chunk.subspan(0, sample_n), opts);
-      return SegmentBuilder<T>::Build(chunk, choice, build_opts);
+      return SegmentBuilder<T>::Build(chunk, choice);
     }
     case ColumnCompression::kPForDelta: {
       AnalyzerOptions<T> opts;
@@ -93,7 +94,7 @@ Result<AlignedBuffer> BuildColumnChunk(
       opts.allow_pdict = false;
       CompressionChoice<T> choice =
           Analyzer<T>::Analyze(chunk.subspan(0, sample_n), opts);
-      return SegmentBuilder<T>::Build(chunk, choice, build_opts);
+      return SegmentBuilder<T>::Build(chunk, choice);
     }
   }
   return Status::InvalidArgument("bad compression mode");

@@ -1020,8 +1020,24 @@ std::vector<std::pair<std::string, std::string>> QueryColumns(int query) {
   }
 }
 
+bool TpchQueryHasParallelPlan(int q) { return q == 1 || q == 6; }
+
 QueryStats RunTpchQuery(int q, const TpchDatabase& db, BufferManager* bm,
-                        TableScanOp::Mode mode) {
+                        TableScanOp::Mode mode, unsigned threads) {
+  // The morsel scan decodes vector-at-a-time by construction, so a
+  // page-wise comparison run keeps the serial plan.
+  if (threads != 1 && TpchQueryHasParallelPlan(q) &&
+      mode == TableScanOp::Mode::kVectorWise) {
+    const char* span = q == 1 ? "tpch.q1.parallel" : "tpch.q6.parallel";
+    return Measure(q, span, bm, [&] {
+      Result<QueryStats> r = q == 1 ? ParallelScanPlan<Q1Agg>(db, bm, threads)
+                                    : ParallelScanPlan<Q6Agg>(db, bm, threads);
+      // RunTpchQuery has no error channel, so an unreadable page aborts
+      // here, at the plan boundary, as it does in the serial plan's
+      // TableScanOp.
+      return r.MoveValueOrDie();
+    });
+  }
   return Measure(q, QuerySpanName(q), bm, [&]() -> QueryStats {
     switch (q) {
       case 1: return SerialScanPlan<Q1Agg>(db, bm, mode);
@@ -1038,27 +1054,6 @@ QueryStats RunTpchQuery(int q, const TpchDatabase& db, BufferManager* bm,
     }
     SCC_CHECK(false, "unimplemented TPC-H query");
     return {};
-  });
-}
-
-bool TpchQueryHasParallelPlan(int q) { return q == 1 || q == 6; }
-
-QueryStats RunTpchQueryParallel(int q, const TpchDatabase& db,
-                                BufferManager* bm, TableScanOp::Mode mode,
-                                unsigned threads) {
-  // The morsel scan decodes vector-at-a-time by construction, so a
-  // page-wise comparison run keeps the serial path.
-  if (!TpchQueryHasParallelPlan(q) || mode != TableScanOp::Mode::kVectorWise) {
-    return RunTpchQuery(q, db, bm, mode);
-  }
-  const char* span = q == 1 ? "tpch.q1.parallel" : "tpch.q6.parallel";
-  return Measure(q, span, bm, [&] {
-    Result<QueryStats> r = q == 1 ? ParallelScanPlan<Q1Agg>(db, bm, threads)
-                                  : ParallelScanPlan<Q6Agg>(db, bm, threads);
-    // RunTpchQuery has no error channel, so an unreadable page aborts
-    // here, at the plan boundary, as it does in the serial plan's
-    // TableScanOp.
-    return r.MoveValueOrDie();
   });
 }
 

@@ -71,28 +71,26 @@ std::vector<std::pair<std::string, std::string>> QueryColumns(int query);
 
 /// Runs TPC-H query `q`. `bm` supplies buffered (compressed) chunks and
 /// charges its SimDisk; callers Reset the disk/stats around the call.
+///
+/// `threads` is 1 for the serial plans. Any other value fans Q1's and
+/// Q6's vector-wise scan pipeline out over the shared thread pool
+/// (`threads` slots including the caller; 0 = pool size). Q1 and Q6 are
+/// written once: the serial and parallel plans share each query's
+/// per-vector fold and finalization, and the parallel plan folds per-slot
+/// partials that merge before the finalization. The aggregates are
+/// integer sums, so checksums match the serial plans exactly. `bm` must
+/// be shared safely, which the sharded buffer manager is; cpu_seconds is
+/// wall time of the parallel region, decompress_seconds the summed
+/// per-slot decode time (so decompress may exceed cpu when slots
+/// overlap). Queries without a parallel plan, and kPageWise runs, keep
+/// the serial plan: the join-heavy queries' hash-build sides are stateful
+/// pipelines whose parallelization is a separate effort.
 QueryStats RunTpchQuery(int q, const TpchDatabase& db, BufferManager* bm,
-                        TableScanOp::Mode mode);
+                        TableScanOp::Mode mode, unsigned threads = 1);
 
 /// True when query `q` has a morsel-driven parallel plan (the pure-scan
 /// queries Q1 and Q6; the rest run serial plans regardless of `threads`).
 bool TpchQueryHasParallelPlan(int q);
-
-/// Runs TPC-H query `q` with its scan pipeline fanned out over the shared
-/// thread pool (`threads` slots including the caller; 0 = pool size).
-/// Q1 and Q6 are written once: the serial and parallel plans share each
-/// query's per-vector fold and finalization, and the parallel plan folds
-/// per-slot partials that merge before the finalization. The aggregates
-/// are integer sums, so checksums match RunTpchQuery exactly. `bm` must be
-/// shared safely, which the sharded buffer manager is; cpu_seconds is
-/// wall time of the parallel region, decompress_seconds the summed
-/// per-slot decode time (so decompress may exceed cpu when slots
-/// overlap). Queries without a parallel plan, and kPageWise runs, fall
-/// back to RunTpchQuery: the join-heavy queries' hash-build sides are
-/// stateful pipelines whose parallelization is a separate effort.
-QueryStats RunTpchQueryParallel(int q, const TpchDatabase& db,
-                                BufferManager* bm, TableScanOp::Mode mode,
-                                unsigned threads = 0);
 
 }  // namespace scc
 

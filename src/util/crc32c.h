@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 // CRC32C (Castagnoli, reflected polynomial 0x82F63B78) for the segment
@@ -14,11 +13,12 @@
 //   * hardware — the SSE4.2 crc32 instruction (x86, ~15-25 GB/s), in a
 //     target("sse4.2")-attributed function selected once via CPUID.
 //
-// Selection: best supported backend, overridable with the SCC_CRC32C env
-// var ("sw" forces software — the differential tests use it). Builds with
+// Selection: the best backend the CPU supports. Builds with
 // -DSCC_FORCE_SCALAR=ON, non-x86 targets, and non-GNU compilers get the
-// software path only. Both backends produce identical digests; CRC32C was
-// chosen over plain CRC32 precisely because commodity CPUs accelerate it.
+// software path only. Every backend produces identical digests, and the
+// tests call each one the host supports directly against the software
+// reference. CRC32C was chosen over plain CRC32 precisely because
+// commodity CPUs accelerate it.
 //
 // Convention: Crc32c(data, n) with no seed is the digest of one buffer;
 // pass a previous digest as `seed` to continue over split buffers
@@ -546,24 +546,12 @@ __attribute__((target("avx512vl,vpclmulqdq,pclmul,sse4.2,avx2"))) inline
   return ~c;
 }
 
-/// True when the CPU has AVX-512VL + VPCLMULQDQ and SCC_CRC32C does not
-/// force software.
-inline bool Crc32cVpclmulActive();
 #endif
 
-/// True when the hardware path is compiled in, the CPU supports SSE4.2,
-/// and SCC_CRC32C does not force software.
+/// True when the hardware path is compiled in and the CPU supports SSE4.2.
 inline bool Crc32cHardwareActive() {
 #if SCC_CRC32C_HW
-  static const bool active = [] {
-    const char* env = std::getenv("SCC_CRC32C");
-    if (env != nullptr &&
-        (std::strcmp(env, "sw") == 0 || std::strcmp(env, "software") == 0 ||
-         std::strcmp(env, "scalar") == 0)) {
-      return false;
-    }
-    return bool(__builtin_cpu_supports("sse4.2"));
-  }();
+  static const bool active = bool(__builtin_cpu_supports("sse4.2"));
   return active;
 #else
   return false;
@@ -571,6 +559,8 @@ inline bool Crc32cHardwareActive() {
 }
 
 #if SCC_CRC32C_VPCLMUL
+/// True when the CPU also has AVX-512VL + VPCLMULQDQ, which
+/// Crc32cVpclmul and Crc32cFused need.
 inline bool Crc32cVpclmulActive() {
   static const bool active =
       Crc32cHardwareActive() && bool(__builtin_cpu_supports("avx512vl")) &&

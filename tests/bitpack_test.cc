@@ -24,8 +24,8 @@ TEST_P(BitPackRoundTrip, GroupOf32) {
   auto in = RandomCodes(32, b, 7 + b);
   std::vector<uint32_t> packed(32, 0xDEADBEEF);
   std::vector<uint32_t> out(32, 0);
-  BitPackGroup32(in.data(), b, packed.data());
-  BitUnpackGroup32(packed.data(), b, out.data());
+  BitPack(in.data(), 32, b, packed.data());
+  BitUnpack(packed.data(), 32, b, out.data());
   EXPECT_EQ(in, out) << "bit width " << b;
 }
 
@@ -77,8 +77,8 @@ TEST(BitPack, PackMasksHighBits) {
   std::vector<uint32_t> in(32, 0xFFFFFFFFu);
   std::vector<uint32_t> packed(3, 0);
   std::vector<uint32_t> out(32, 0);
-  BitPackGroup32(in.data(), 3, packed.data());
-  BitUnpackGroup32(packed.data(), 3, out.data());
+  BitPack(in.data(), 32, 3, packed.data());
+  BitUnpack(packed.data(), 32, 3, out.data());
   for (uint32_t v : out) EXPECT_EQ(v, 7u);
 }
 
@@ -108,7 +108,7 @@ TEST_P(BackendDifferential, UnpackMatchesScalar) {
       ASSERT_EQ(want, got) << "isa=" << KernelIsaName(isa) << " b=" << b
                            << " n=" << n;
       std::vector<uint32_t> got32(32, 0);
-      BitUnpackGroup32(packed.data(), b, got32.data());
+      BitUnpack(packed.data(), 32, b, got32.data());
       for (size_t i = 0; i < 32; i++) {
         ASSERT_EQ(want[i], got32[i])
             << "isa=" << KernelIsaName(isa) << " b=" << b << " i=" << i;

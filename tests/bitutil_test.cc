@@ -110,20 +110,57 @@ TEST(Crc32c, KnownAnswerVectors) {
   EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
 }
 
+/// The CRC32C entry points this build and CPU can run: the software
+/// reference, the dispatcher, then each accelerated kernel called
+/// directly, so the dispatcher's length thresholds hide no kernel from
+/// the tests. A kernel gets only the lengths its precondition allows;
+/// `Run` sends shorter ones to the software reference.
+struct CrcBackend {
+  const char* name;
+  uint32_t (*fn)(const void*, size_t, uint32_t);
+  size_t min_len;
+
+  uint32_t Run(const void* data, size_t n, uint32_t seed) const {
+    return n >= min_len ? fn(data, n, seed) : Crc32cSoftware(data, n, seed);
+  }
+};
+
+std::vector<CrcBackend> HostCrcBackends() {
+  std::vector<CrcBackend> out = {{"software", &Crc32cSoftware, 0},
+                                 {"dispatch", &Crc32c, 0}};
+#if SCC_CRC32C_HW
+  if (Crc32cHardwareActive()) out.push_back({"hardware", &Crc32cHardware, 0});
+#endif
+#if SCC_CRC32C_VPCLMUL
+  if (Crc32cVpclmulActive()) {
+    out.push_back({"vpclmul", &Crc32cVpclmul, 128});
+    out.push_back({"fused", &Crc32cFused, 192});
+  }
+#endif
+  return out;
+}
+
 TEST(Crc32c, BackendsAgreeOnRandomBuffers) {
-  // Differential: dispatcher vs the always-available software reference,
-  // across lengths that hit the 8-byte main loop and the byte tail.
+  // Differential: every backend vs the always-available software
+  // reference, across lengths that hit the 8-byte main loop and the byte
+  // tail. 128, 192 and 256 are the clmul kernels' minimums and the
+  // dispatcher's clmul threshold; 3071..3073 straddle the hardware
+  // kernel's 3-stripe interleave threshold; the large lengths run
+  // several merge rounds plus a tail.
   Rng rng(17);
-  // 3071..3073 straddle the hardware path's 3-stripe interleave
-  // threshold; the large lengths run several merge rounds plus a tail.
   for (size_t len : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
-                     size_t(63), size_t(64), size_t(1000), size_t(3071),
-                     size_t(3072), size_t(3073), size_t(4097), size_t(20000),
+                     size_t(63), size_t(64), size_t(128), size_t(192),
+                     size_t(256), size_t(1000), size_t(3071), size_t(3072),
+                     size_t(3073), size_t(4097), size_t(20000),
                      size_t(100003)}) {
     std::vector<uint8_t> buf(len);
     for (auto& b : buf) b = uint8_t(rng.Next());
-    EXPECT_EQ(Crc32c(buf.data(), len), Crc32cSoftware(buf.data(), len))
-        << "len=" << len << " backend=" << Crc32cBackendName();
+    const uint32_t want = Crc32cSoftware(buf.data(), len);
+    for (const CrcBackend& be : HostCrcBackends()) {
+      if (len < be.min_len) continue;
+      EXPECT_EQ(be.fn(buf.data(), len, 0), want)
+          << "len=" << len << " backend=" << be.name;
+    }
   }
 }
 
@@ -131,32 +168,33 @@ TEST(Crc32c, SeedChainsSplitBuffers) {
   Rng rng(23);
   std::vector<uint8_t> buf(777);
   for (auto& b : buf) b = uint8_t(rng.Next());
-  const uint32_t whole = Crc32c(buf.data(), buf.size());
-  for (size_t cut : {size_t(0), size_t(1), size_t(8), size_t(100),
-                     buf.size() - 1, buf.size()}) {
-    uint32_t first = Crc32c(buf.data(), cut);
-    EXPECT_EQ(Crc32c(buf.data() + cut, buf.size() - cut, first), whole)
-        << "cut=" << cut;
-    uint32_t first_sw = Crc32cSoftware(buf.data(), cut);
-    EXPECT_EQ(
-        Crc32cSoftware(buf.data() + cut, buf.size() - cut, first_sw), whole)
-        << "cut=" << cut;
+  const uint32_t whole = Crc32cSoftware(buf.data(), buf.size());
+  for (const CrcBackend& be : HostCrcBackends()) {
+    EXPECT_EQ(be.Run(buf.data(), buf.size(), 0), whole) << be.name;
+    for (size_t cut : {size_t(0), size_t(1), size_t(8), size_t(100),
+                       size_t(300), buf.size() - 1, buf.size()}) {
+      const uint32_t first = be.Run(buf.data(), cut, 0);
+      EXPECT_EQ(be.Run(buf.data() + cut, buf.size() - cut, first), whole)
+          << "cut=" << cut << " backend=" << be.name;
+    }
   }
 }
 
 TEST(Crc32c, SeedChainsLargeBuffers) {
   // Same chaining property across the large-buffer dispatch threshold,
-  // so the fused kernel runs with nonzero seeds on both sides of a cut.
+  // so each kernel runs with nonzero seeds on both sides of a cut.
   Rng rng(31);
   std::vector<uint8_t> buf(50000);
   for (auto& b : buf) b = uint8_t(rng.Next());
   const uint32_t whole = Crc32cSoftware(buf.data(), buf.size());
-  EXPECT_EQ(Crc32c(buf.data(), buf.size()), whole);
-  for (size_t cut : {size_t(100), size_t(16384), size_t(25000),
-                     size_t(33000), buf.size() - 5}) {
-    uint32_t first = Crc32c(buf.data(), cut);
-    EXPECT_EQ(Crc32c(buf.data() + cut, buf.size() - cut, first), whole)
-        << "cut=" << cut;
+  for (const CrcBackend& be : HostCrcBackends()) {
+    EXPECT_EQ(be.Run(buf.data(), buf.size(), 0), whole) << be.name;
+    for (size_t cut : {size_t(100), size_t(16384), size_t(25000),
+                       size_t(33000), buf.size() - 5}) {
+      const uint32_t first = be.Run(buf.data(), cut, 0);
+      EXPECT_EQ(be.Run(buf.data() + cut, buf.size() - cut, first), whole)
+          << "cut=" << cut << " backend=" << be.name;
+    }
   }
 }
 

@@ -541,7 +541,7 @@ TEST(TieredBM, TpchQ1Q6ChecksumsMatchUntieredAt25PctDram) {
     const QueryStats serial_want =
         RunTpchQuery(q, db, &base, TableScanOp::Mode::kVectorWise);
     const QueryStats parallel_want =
-        RunTpchQueryParallel(q, db, &base, TableScanOp::Mode::kVectorWise, 4);
+        RunTpchQuery(q, db, &base, TableScanOp::Mode::kVectorWise, 4);
     ASSERT_EQ(serial_want.checksum, parallel_want.checksum);
 
     SimDisk disk;
@@ -554,7 +554,7 @@ TEST(TieredBM, TpchQ1Q6ChecksumsMatchUntieredAt25PctDram) {
     EXPECT_EQ(serial.checksum, serial_want.checksum) << "Q" << q;
     EXPECT_EQ(serial.result_rows, serial_want.result_rows) << "Q" << q;
     const QueryStats parallel =
-        RunTpchQueryParallel(q, db, &bm, TableScanOp::Mode::kVectorWise, 4);
+        RunTpchQuery(q, db, &bm, TableScanOp::Mode::kVectorWise, 4);
     EXPECT_EQ(parallel.checksum, serial_want.checksum) << "Q" << q;
   }
 

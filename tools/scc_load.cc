@@ -1,6 +1,7 @@
 // scc_load — parallel bulk loader. Ingests a pipe-separated .tbl file (or
-// a synthetic table) through the morsel-parallel write path
-// (storage/bulk_load.h) and saves the result as a FileStore directory.
+// the synthetic table of tools/synthetic_table.h) through the morsel-
+// parallel write path (storage/bulk_load.h) and saves the result as a
+// FileStore directory.
 //
 //   scc_load --out <dir> --tbl <file>  [options]   load a .tbl file
 //   scc_load --out <dir> --rows N      [options]   synthetic table
@@ -34,8 +35,7 @@
 #include "storage/storage_metrics.h"
 #include "sys/telemetry.h"
 #include "sys/timer.h"
-#include "util/rng.h"
-#include "util/zipf.h"
+#include "synthetic_table.h"
 
 namespace scc {
 namespace {
@@ -60,20 +60,22 @@ bool ParseCents(const std::string& s, int64_t* out) {
   return true;
 }
 
-struct TblColumn {
-  std::string name;
-  std::vector<int64_t> values;
-  bool all_int = true;
-  bool all_decimal = true;
-};
-
-/// Reads a pipe-separated file; keeps integer and decimal columns.
-bool ReadTbl(const char* path, std::vector<TblColumn>* cols) {
+/// Reads a pipe-separated file into its integer and decimal columns;
+/// other columns (dates, strings) are skipped with a warning. False, with
+/// a message, when the file cannot be read or has no numeric column.
+bool ReadTbl(const char* path, std::vector<NamedColumn>* out) {
+  struct TblColumn {
+    std::string name;
+    std::vector<int64_t> values;
+    bool all_int = true;
+    bool all_decimal = true;
+  };
   FILE* f = std::fopen(path, "r");
   if (f == nullptr) {
     fprintf(stderr, "error: cannot open %s\n", path);
     return false;
   }
+  std::vector<TblColumn> cols;
   std::string line;
   char buf[1 << 16];
   size_t row = 0;
@@ -92,14 +94,14 @@ bool ReadTbl(const char* path, std::vector<TblColumn>* cols) {
       // A trailing '|' (TPC-H convention) yields one empty final field;
       // drop it rather than treating it as a column.
       if (field.empty() && start > line.size()) break;
-      if (ci >= cols->size()) {
-        cols->resize(ci + 1);
+      if (ci >= cols.size()) {
+        cols.resize(ci + 1);
         char nb[24];
         std::snprintf(nb, sizeof(nb), "c%zu", ci);
-        (*cols)[ci].name = nb;
-        (*cols)[ci].values.resize(row, 0);  // ragged file: pad new column
+        cols[ci].name = nb;
+        cols[ci].values.resize(row, 0);  // ragged file: pad new column
       }
-      TblColumn& col = (*cols)[ci];
+      TblColumn& col = cols[ci];
       int64_t iv = 0;
       if (col.all_int && ParseInt(field, &iv)) {
         col.values.push_back(iv);
@@ -114,9 +116,24 @@ bool ReadTbl(const char* path, std::vector<TblColumn>* cols) {
       ci++;
     }
     row++;
-    for (; ci < cols->size(); ci++) (*cols)[ci].values.push_back(0);
+    for (; ci < cols.size(); ci++) cols[ci].values.push_back(0);
   }
   std::fclose(f);
+  for (TblColumn& c : cols) {
+    if (!c.all_int && !c.all_decimal) {
+      fprintf(stderr,
+              "warning: skipping non-numeric column %s "
+              "(this is a numeric-column loader)\n",
+              c.name.c_str());
+      StorageMetrics::Get().load_skipped_columns->Increment();
+      continue;
+    }
+    out->push_back({std::move(c.name), std::move(c.values)});
+  }
+  if (out->empty()) {
+    fprintf(stderr, "error: %s has no numeric columns\n", path);
+    return false;
+  }
   return true;
 }
 
@@ -191,55 +208,17 @@ int Run(int argc, char** argv) {
     // trace is one tree per load rather than orphaned worker spans.
     // Scoped so the operation closes before the trace file is written.
     TraceOperation op("scc_load.bulk_load");
-    if (!tbl.empty()) {
-      std::vector<TblColumn> cols;
-      if (!ReadTbl(tbl.c_str(), &cols)) return 1;
-      timer.Reset();  // parse time is not load time
-      size_t kept = 0;
-      for (const TblColumn& c : cols) {
-        if (!c.all_int && !c.all_decimal) {  // non-numeric: skipped
-          fprintf(stderr,
-                  "warning: skipping non-numeric column %s "
-                  "(this is a numeric-column loader)\n",
-                  c.name.c_str());
-          StorageMetrics::Get().load_skipped_columns->Increment();
-          continue;
-        }
-        st = BulkLoadColumn<int64_t>(&table, c.name, c.values, opts);
-        if (!st.ok()) break;
-        raw_bytes += c.values.size() * sizeof(int64_t);
-        kept++;
-      }
-      if (st.ok() && kept == 0) {
-        fprintf(stderr, "error: %s has no numeric columns\n", tbl.c_str());
-        return 1;
-      }
-    } else {
-      // Synthetic columns covering the analyzer's regimes (same shape as
-      // scc_gen): sequential id, zipf code, price with outliers,
-      // timestamp.
-      Rng rng(seed);
-      ZipfGenerator zipf(1000, 1.1, seed + 1);
-      std::vector<int64_t> id(rows), code(rows), price(rows), ts(rows);
-      int64_t t = 1700000000;
-      for (size_t i = 0; i < rows; i++) {
-        id[i] = int64_t(i);
-        code[i] = int64_t(zipf.Next());
-        price[i] = int64_t(100 + rng.Uniform(900));
-        if (rng.Bernoulli(0.01)) price[i] = int64_t(rng.Uniform(1u << 30));
-        t += int64_t(rng.Uniform(30));
-        ts[i] = t;
-      }
-      timer.Reset();
-      for (const auto& [name, vec] :
-           {std::pair<const char*, std::vector<int64_t>*>{"id", &id},
-            {"code", &code},
-            {"price", &price},
-            {"ts", &ts}}) {
-        st = BulkLoadColumn<int64_t>(&table, name, *vec, opts);
-        if (!st.ok()) break;
-        raw_bytes += vec->size() * sizeof(int64_t);
-      }
+    std::vector<NamedColumn> cols;
+    if (tbl.empty()) {
+      cols = SyntheticColumns(rows, seed);
+    } else if (!ReadTbl(tbl.c_str(), &cols)) {
+      return 1;
+    }
+    timer.Reset();  // parse and generation time are not load time
+    for (const NamedColumn& c : cols) {
+      st = BulkLoadColumn<int64_t>(&table, c.name, c.values, opts);
+      if (!st.ok()) break;
+      raw_bytes += c.values.size() * sizeof(int64_t);
     }
     load_secs = timer.ElapsedSeconds();
     if (st.ok()) st = FileStore::Save(table, out);

@@ -19,7 +19,7 @@
 // each connection's un-flushed response bytes before a slow reader is
 // disconnected.
 //
-// The synthetic table (--rows) has the scc_load column shapes:
+// The synthetic table (--rows) is scc_load's (tools/synthetic_table.h):
 // sequential `id` (closed-form verifiable — workload_driver --verify
 // depends on it), zipf `code`, `price` with 1% outliers, and an
 // increasing `ts`. Default capacities keep the whole table DRAM-resident
@@ -43,8 +43,7 @@
 #include "storage/file_store.h"
 #include "storage/sim_disk.h"
 #include "sys/telemetry.h"
-#include "util/rng.h"
-#include "util/zipf.h"
+#include "synthetic_table.h"
 
 namespace scc {
 namespace {
@@ -52,29 +51,6 @@ namespace {
 volatile std::sig_atomic_t g_shutdown = 0;
 
 void OnSignal(int) { g_shutdown = 1; }
-
-Status BuildSyntheticTable(Table* table, size_t rows, uint64_t seed) {
-  Rng rng(seed);
-  ZipfGenerator zipf(1000, 1.1, seed + 1);
-  std::vector<int64_t> id(rows), code(rows), price(rows), ts(rows);
-  int64_t t = 1700000000;
-  for (size_t i = 0; i < rows; i++) {
-    id[i] = int64_t(i);
-    code[i] = int64_t(zipf.Next());
-    price[i] = int64_t(100 + rng.Uniform(900));
-    if (rng.Bernoulli(0.01)) price[i] = int64_t(rng.Uniform(1u << 30));
-    t += int64_t(rng.Uniform(30));
-    ts[i] = t;
-  }
-  for (const auto& [name, vec] :
-       {std::pair<const char*, std::vector<int64_t>*>{"id", &id},
-        {"code", &code},
-        {"price", &price},
-        {"ts", &ts}}) {
-    SCC_RETURN_NOT_OK(BulkLoadColumn<int64_t>(table, name, *vec));
-  }
-  return Status::OK();
-}
 
 int Run(int argc, char** argv) {
   const char* dir = nullptr;
@@ -185,10 +161,12 @@ int Run(int argc, char** argv) {
     }
     table = loaded.MoveValueOrDie();
   } else {
-    Status st = BuildSyntheticTable(&table, rows, seed);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
+    for (const NamedColumn& c : SyntheticColumns(rows, seed)) {
+      Status st = BulkLoadColumn<int64_t>(&table, c.name, c.values);
+      if (!st.ok()) {
+        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+        return 1;
+      }
     }
   }
 
