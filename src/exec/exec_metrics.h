@@ -15,6 +15,8 @@
 //   exec.queue.overflow           owner-deque overflows spilled to the
 //                                 global injection queue
 //   exec.scan.morsels             morsels processed by parallel scans
+//   exec.scan.morsels_pruned      morsels a pushdown's chunk summaries
+//                                 ruled out before any was claimed
 //   exec.scan.rows                rows emitted by parallel scans
 //
 // Pool health family (docs/OBSERVABILITY.md), fed by thread_pool.cc:
@@ -35,6 +37,7 @@ struct ExecMetrics {
   Counter* steals;
   Counter* queue_overflow;
   Counter* scan_morsels;
+  Counter* scan_morsels_pruned;
   Counter* scan_rows;
   Gauge* pool_queue_depth;
   Counter* pool_idle_ns;
@@ -51,6 +54,7 @@ struct ExecMetrics {
       em->steals = &reg.GetCounter("exec.steals");
       em->queue_overflow = &reg.GetCounter("exec.queue.overflow");
       em->scan_morsels = &reg.GetCounter("exec.scan.morsels");
+      em->scan_morsels_pruned = &reg.GetCounter("exec.scan.morsels_pruned");
       em->scan_rows = &reg.GetCounter("exec.scan.rows");
       em->pool_queue_depth = &reg.GetGauge("exec.pool.queue_depth");
       em->pool_idle_ns = &reg.GetCounter("exec.pool.idle_ns");

@@ -1,7 +1,10 @@
 #include "exec/parallel_scan.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <mutex>
+#include <numeric>
 
 #include "exec/exec_metrics.h"
 #include "sys/telemetry.h"
@@ -19,20 +22,31 @@ ParallelScan::ParallelScan(const Table* table, BufferManager* bm,
     cols_.push_back(col);
   }
   morsels_ = table->chunk_count();
+  claims_.resize(morsels_);
+  std::iota(claims_.begin(), claims_.end(), size_t(0));
   unsigned slots = pool_.worker_count() + 1;  // workers + the caller
   if (options_.threads != 0 && options_.threads < slots) {
     slots = options_.threads;
   }
   if (morsels_ != 0 && slots > morsels_) slots = unsigned(morsels_);
-  slots_ = slots == 0 ? 1 : slots;
-  cursors_.reserve(slots_);
-  for (unsigned s = 0; s < slots_; s++) cursors_.emplace_back(table, bm, cols_);
+  if (slots == 0) slots = 1;
+  cursors_.reserve(slots);
+  for (unsigned s = 0; s < slots; s++) cursors_.emplace_back(table, bm, cols_);
 }
 
 void ParallelScan::SetPushdownBetween(const std::string& column, int64_t lo,
                                       int64_t hi) {
   for (size_t c = 0; c < cols_.size(); c++) {
     if (cols_[c]->name != column) continue;
+    claims_.clear();
+    for (size_t m = 0; m < morsels_; m++) {
+      if (cols_[c]->ChunkMayHold(m, lo, hi)) claims_.push_back(m);
+    }
+    // No more slots than listed morsels (and at least one).
+    const size_t slots = std::max<size_t>(claims_.size(), 1);
+    if (cursors_.size() > slots) {
+      cursors_.erase(cursors_.begin() + ptrdiff_t(slots), cursors_.end());
+    }
     for (ChunkCursor& cursor : cursors_) cursor.SetPushdownBetween(c, lo, hi);
     pushdown_status_ = Status::OK();
     return;
@@ -51,6 +65,7 @@ Status ParallelScan::Run(const Visitor& visitor) {
                         ? std::string("exec.parallel_scan")
                         : options_.trace_label);
   ExecMetrics& em = ExecMetrics::Get();
+  em.scan_morsels_pruned->Add(morsels_ - claims_.size());
 
   // The first error wins, whether a cancel_check status or an unreadable
   // page. The flag stops every slot at its next morsel boundary;
@@ -77,9 +92,11 @@ Status ParallelScan::Run(const Visitor& visitor) {
   auto work = [&](size_t slot) {
     SCC_TRACE_SPAN("exec.parallel_scan.worker");
     ChunkCursor& cursor = cursors_[slot];
-    size_t m;
+    size_t i;
     while (!should_stop() &&
-           (m = next.fetch_add(1, std::memory_order_relaxed)) < morsels_) {
+           (i = next.fetch_add(1, std::memory_order_relaxed)) <
+               claims_.size()) {
+      const size_t m = claims_[i];
       Status st = cursor.Open(m);
       if (!st.ok()) {
         stop(std::move(st));
@@ -97,7 +114,8 @@ Status ParallelScan::Run(const Visitor& visitor) {
   };
 
   // Each slot runs once, on a pool worker or on the participating caller.
-  pool_.ParallelFor(slots_, work, slots_ - 1);
+  const unsigned slots = slot_count();
+  pool_.ParallelFor(slots, work, slots - 1);
   decompress_seconds_ = 0;
   for (const ChunkCursor& c : cursors_) {
     decompress_seconds_ += c.decompress_seconds();

@@ -22,18 +22,26 @@
 //   decode vector-at-a-time        ->  visitor(batch, morsel, slot)
 //   drop pins                      ->  pages become evictable again
 //
+// Morsels are claimed from an ascending claim list. Without pushdown it
+// lists every morsel; SetPushdownBetween keeps only the morsels whose
+// chunk summary (StoredColumn::ranges) meets [lo, hi], so a pruned morsel
+// is never pinned, fetched, opened or selected. A column without a
+// summary prunes nothing.
+//
 // The visitor runs on whatever worker decoded the morsel, concurrently.
 // Use the `slot` argument to index per-slot partial state (e.g.
 // aggregation partials): slots are dense in [0, slot_count()) and a slot
 // is never used by two threads at once. Within a morsel, vectors arrive
-// in table order.
+// in table order, and each slot claims its morsels in ascending order.
 //
 // Pages are fetched on demand, by the claiming slot only. There is no
 // read-ahead: SimDisk charges virtual time and the harness assumes I/O
 // fully overlaps decode (storage/sim_disk.h), so fetching a page early
 // would buy nothing and fetch it twice.
 //
-// Telemetry: exec.scan.morsels / exec.scan.rows.
+// Telemetry: exec.scan.morsels / exec.scan.morsels_pruned /
+// exec.scan.rows. A scan that runs to completion adds morsel_count() to
+// morsels + morsels_pruned.
 
 namespace scc {
 
@@ -83,10 +91,12 @@ class ParallelScan {
   /// columns) is filtered to [lo, hi] inside each worker's decode loop —
   /// selection straight off the packed codes, min/max-disqualified groups
   /// never decoded, and the other columns decode only the 128-value
-  /// groups holding selected rows. With pushdown set, batch column data
-  /// is valid only at the indices in selection(slot); every vector is
-  /// still delivered, empty or not. A column that is not scanned makes
-  /// Run() return InvalidArgument.
+  /// groups holding selected rows. Morsels whose chunk summary proves
+  /// they hold no value in [lo, hi] are dropped from the claim list, and
+  /// slot_count() shrinks to at most the morsels left. With pushdown set,
+  /// batch column data is valid only at the indices in selection(slot);
+  /// every vector of every claimed morsel is delivered, empty or not. A
+  /// column that is not scanned makes Run() return InvalidArgument.
   void SetPushdownBetween(const std::string& column, int64_t lo, int64_t hi);
 
   /// Per-slot selection over the batch most recently delivered to the
@@ -99,10 +109,11 @@ class ParallelScan {
     return cursors_[slot].mutable_selection();
   }
 
-  /// Parallel slots handed to the visitor; size per-slot partials to this.
-  /// (Worker threads + the participating caller, capped by
-  /// Options::threads and the morsel count.)
-  unsigned slot_count() const { return slots_; }
+  /// Parallel slots handed to the visitor; size per-slot partials to this
+  /// after SetPushdownBetween. (Worker threads + the participating caller,
+  /// capped by Options::threads and the number of claimed morsels.)
+  unsigned slot_count() const { return unsigned(cursors_.size()); }
+  /// Morsels in the table, claimed or pruned.
   size_t morsel_count() const { return morsels_; }
 
   /// Summed across slots: total CPU seconds inside decompression over
@@ -114,7 +125,7 @@ class ParallelScan {
   Options options_;
   std::vector<const StoredColumn*> cols_;
   size_t morsels_ = 0;
-  unsigned slots_ = 0;
+  std::vector<size_t> claims_;  // ascending morsels Run() claims
   double decompress_seconds_ = 0;
   Status pushdown_status_;  // InvalidArgument for an unscanned column
   std::vector<ChunkCursor> cursors_;  // one per slot, touched by its owner

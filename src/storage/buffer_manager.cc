@@ -1,5 +1,7 @@
 #include "storage/buffer_manager.h"
 
+#include <numeric>
+
 namespace scc {
 
 BufferManager::BufferManager(SimDisk* disk, size_t capacity_bytes,
@@ -11,10 +13,13 @@ BufferManager::BufferManager(SimDisk* disk, size_t capacity_bytes,
       hot_(CacheTier::kHot, tiers.hot_capacity_bytes, 1),
       dram_(CacheTier::kDram, capacity_bytes, kShards),
       ssd_(CacheTier::kSsd, tiers.ssd_capacity_bytes, 1),
+      hot_slab_(tiers.hot_capacity_bytes / kHotSlotBytes * kHotSlotBytes),
       evicted_bytes_(StorageMetrics::Get().bm_evicted_bytes),
       bytes_read_(StorageMetrics::Get().bm_bytes_read),
       io_faults_(StorageMetrics::Get().io_faults),
-      coalesced_misses_(StorageMetrics::Get().bm_coalesced_misses) {}
+      coalesced_misses_(StorageMetrics::Get().bm_coalesced_misses) {
+  FreeAllHotSlots();
+}
 
 Result<BufferManager::PageGuard> BufferManager::FetchPinned(
     const Table* table, const StoredColumn* col, size_t chunk_idx) {
@@ -113,8 +118,43 @@ BufferManager::TierStats BufferManager::tier_stats(CacheTier t) const {
 
 void BufferManager::Clear() {
   hot_.Clear();
+  FreeAllHotSlots();
   dram_.Clear();
   ssd_.Clear();
+}
+
+/// Puts every slab slot on the free list, to be handed out lowest first.
+void BufferManager::FreeAllHotSlots() {
+  std::lock_guard<std::mutex> lock(hot_slots_mu_);
+  hot_free_.resize(hot_slab_.size() / kHotSlotBytes);
+  std::iota(hot_free_.rbegin(), hot_free_.rend(), uint32_t(0));
+}
+
+/// Admits a decoded group of `bytes` into a free slab slot. A key already
+/// cached, a tier too small for one slot, or (under concurrent admits) no
+/// free slot leaves the group uncached.
+void BufferManager::AdmitHot(const TierKey& key, const uint8_t* group,
+                             size_t bytes) {
+  if (hot_slab_.empty() || hot_.Contains(key)) return;
+  hot_.MakeSpace(kHotSlotBytes, [this](TierCache<uint32_t>::Victim&& victim) {
+    FreeHotSlot(victim.value);
+  });
+  uint32_t slot = 0;
+  {
+    std::lock_guard<std::mutex> lock(hot_slots_mu_);
+    if (hot_free_.empty()) return;
+    slot = hot_free_.back();
+    hot_free_.pop_back();
+  }
+  std::memcpy(HotSlot(slot), group, bytes);
+  if (!hot_.Insert(key, kHotSlotBytes, slot, /*pin=*/false).second) {
+    FreeHotSlot(slot);
+  }
+}
+
+void BufferManager::FreeHotSlot(uint32_t slot) {
+  std::lock_guard<std::mutex> lock(hot_slots_mu_);
+  hot_free_.push_back(slot);
 }
 
 void BufferManager::ResetStats() {

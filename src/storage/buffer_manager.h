@@ -8,6 +8,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <variant>
+#include <vector>
 
 #include "core/segment.h"
 #include "core/segment_reader.h"
@@ -28,7 +29,9 @@
 //  * HOT — decoded 128-value groups (kEntryGroup), admitted by ReadValue
 //    on a point-access fault. This is the only place decompressed data is
 //    cached, and it is group-granular by construction: a point read
-//    decodes exactly one group, never a whole chunk. One shard.
+//    decodes exactly one group, never a whole chunk. The groups live in
+//    one slab of fixed slots allocated up front; an entry names its slot
+//    and is charged one slot's bytes. One shard.
 //  * DRAM — compressed I/O units. Capacity is `capacity_bytes`; this tier
 //    exists in every configuration and is the whole manager when the
 //    others are off. Its entries own a verified copy of the page or alias
@@ -214,8 +217,8 @@ class BufferManager {
     const bool hot = hot_.capacity() > 0;
     T v;
     if (hot) {
-      if (hot_.Find(gkey, /*pin=*/false, [&](const AlignedBuffer& values) {
-            std::memcpy(&v, values.data() + gslot * sizeof(T), sizeof(T));
+      if (hot_.Find(gkey, /*pin=*/false, [&](uint32_t hot_slot) {
+            std::memcpy(&v, HotSlot(hot_slot) + gslot * sizeof(T), sizeof(T));
           })) {
         hot_.CountHit();
         return v;
@@ -229,16 +232,18 @@ class BufferManager {
                          SegmentReader<T>::Open(guard->data(), guard->size()));
     const size_t glo = group * kEntryGroup;
     const size_t glen = std::min(kEntryGroup, col->ChunkRows(chunk) - glo);
-    AlignedBuffer decoded(glen * sizeof(T));
-    reader.DecompressRange(glo, glen, reinterpret_cast<T*>(decoded.data()));
-    std::memcpy(&v, decoded.data() + gslot * sizeof(T), sizeof(T));
+    // The group decodes on the stack (with the kernels' tail pad), and
+    // only an admitted group is copied into a slab slot.
+    alignas(64) uint8_t decoded[kHotSlotBytes + AlignedBuffer::kPadding];
+    reader.DecompressRange(glo, glen, reinterpret_cast<T*>(decoded));
+    std::memcpy(&v, decoded + gslot * sizeof(T), sizeof(T));
     if (timed) {
       // Hot-tier fault latency is wall time (decode is CPU work, not a
       // simulated device), including the page fix below it.
       hot_.ObserveFault(
           uint64_t((TraceNowMicros() - fault_start_us) * 1000.0));
     }
-    if (hot) hot_.Admit(gkey, glen * sizeof(T), std::move(decoded));
+    if (hot) AdmitHot(gkey, decoded, glen * sizeof(T));
     return v;
   }
 
@@ -333,6 +338,15 @@ class BufferManager {
     Status status;
   };
 
+  /// One hot-tier slot holds a whole group of the widest type.
+  static constexpr size_t kHotSlotBytes = kEntryGroup * sizeof(int64_t);
+
+  uint8_t* HotSlot(uint32_t slot) {
+    return hot_slab_.data() + size_t(slot) * kHotSlotBytes;
+  }
+  void FreeAllHotSlots();
+  void AdmitHot(const TierKey& key, const uint8_t* group, size_t bytes);
+  void FreeHotSlot(uint32_t slot);
   bool ssd_enabled() const { return ssd_.capacity() > 0; }
   PageGuard TryPinCached(const TierKey& key, bool coalesced = false);
   void CountCoalesced();
@@ -351,9 +365,17 @@ class BufferManager {
   bool verify_checksums_ = false;
   int max_read_retries_ = 2;
 
-  TierCache<AlignedBuffer> hot_;         // decoded groups
+  TierCache<uint32_t> hot_;              // decoded groups: slab slots
   TierCache<CachedPage> dram_;           // compressed pages
   TierCache<std::monostate> ssd_;        // flash residency only
+  // The hot tier's groups, hot_capacity_bytes / kHotSlotBytes slots
+  // allocated once and never zeroed, so an untouched slot costs no RSS.
+  // A heap buffer per group, freed by whichever thread evicts it, leaves
+  // the memory in glibc's per-thread arenas, and RSS grows far past the
+  // tier's capacity (docs/STORAGE_TIERS.md).
+  AlignedBuffer hot_slab_;
+  std::mutex hot_slots_mu_;
+  std::vector<uint32_t> hot_free_;  // free slots, lowest last (guarded)
   std::mutex inflight_mu_;
   std::unordered_map<TierKey, std::shared_ptr<InFlight>, TierKeyHash>
       inflight_;

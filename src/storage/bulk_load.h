@@ -16,8 +16,9 @@
 // Morsel-parallel bulk loading (the write-path counterpart of
 // core/parallel.h). A column ingests as one task per chunk on the shared
 // work-stealing pool: every chunk is analyzed (sample drawn from ITS OWN
-// head, exactly as the serial path does) and compressed independently,
-// then the finished segments are stitched into the column in chunk order.
+// head, exactly as the serial path does), compressed and summarized
+// independently (storage/table.h BuildChunkAt), then the finished segments
+// are stitched into the column in chunk order.
 //
 // Determinism guarantee: chunk ci's segment is a pure function of
 // (values[ci*chunk .. ), mode) — no state is shared between chunk tasks,
@@ -47,28 +48,12 @@ Status BulkLoadColumn(Table* table, const std::string& name,
                       std::span<const T> values,
                       const BulkLoadOptions& opts = {}) {
   Timer timer;
-  const size_t chunk_values = table->chunk_values();
-  auto col = std::make_unique<StoredColumn>();
-  col->name = name;
-  col->type = TypeIdOf<T>();
-  col->rows = values.size();
-  col->chunk_values = chunk_values;
-  col->compressed = opts.mode != ColumnCompression::kNone;
-  const size_t nchunks =
-      values.empty() ? 1
-                     : (values.size() + chunk_values - 1) / chunk_values;
-  col->chunks.resize(nchunks);
+  std::unique_ptr<StoredColumn> col =
+      NewColumn<T>(name, values.size(), table->chunk_values(), opts.mode);
+  const size_t nchunks = col->chunk_count();
   std::vector<Status> chunk_status(nchunks);
   auto build_one = [&](size_t ci) {
-    const size_t lo = ci * chunk_values;
-    const size_t n = std::min(chunk_values, values.size() - lo);
-    Result<AlignedBuffer> seg =
-        BuildColumnChunk<T>(values.subspan(lo, n), opts.mode);
-    if (seg.ok()) {
-      col->chunks[ci] = seg.MoveValueOrDie();
-    } else {
-      chunk_status[ci] = seg.status();
-    }
+    chunk_status[ci] = BuildChunkAt<T>(col.get(), values, ci, opts.mode);
   };
   if (opts.threads == 1 || nchunks <= 1) {
     for (size_t ci = 0; ci < nchunks; ci++) build_one(ci);

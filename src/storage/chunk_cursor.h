@@ -75,7 +75,10 @@ class PageReader {
       reader_;
 };
 
-class ChunkCursor {
+// alignas: ParallelScan keeps one cursor per slot in a vector, and a
+// slot writes its cursor's position on every vector, so neighbours must
+// not share a cache line.
+class alignas(64) ChunkCursor {
  public:
   /// Scans `columns` (all of `table`) through `bm`; batch() holds one
   /// vector per column, in this order.

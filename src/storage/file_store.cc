@@ -4,8 +4,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "core/segment.h"
+#include "core/segment_reader.h"
+#include "engine/operators.h"
 
 namespace scc {
 
@@ -36,6 +40,26 @@ Result<TypeId> TypeFromToken(const std::string& s) {
   if (s == "i64") return TypeId::kInt64;
   if (s == "f64") return TypeId::kFloat64;
   return Status::Corruption("manifest: unknown type " + s);
+}
+
+/// Derives an integer column's chunk summaries from its (verified)
+/// pages, decoded one chunk at a time: the same ranges the loaders
+/// computed from the source values. A float column gets none.
+Status Summarize(StoredColumn* col) {
+  return DispatchType(col->type, [&](auto tag) -> Status {
+    using T = decltype(tag);
+    if constexpr (std::is_integral_v<T>) {
+      std::vector<T> values;
+      for (const AlignedBuffer& page : col->chunks) {
+        SCC_ASSIGN_OR_RETURN(SegmentReader<T> r,
+                             SegmentReader<T>::Open(page.data(), page.size()));
+        values.resize(r.count());
+        r.DecompressAll(values.data());
+        col->ranges.push_back(ChunkRangeOf<T>(values));
+      }
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace
@@ -107,6 +131,8 @@ Result<Table> FileStore::Load(const std::string& dir,
     col->rows = rows;
     col->chunk_values = chunk_values;
     size_t total_rows = 0;
+    // Only pages whose checksums were verified may drive pruning.
+    bool verified = opts.verify_checksums;
     for (uint32_t i = 0; i < nchunks; i++) {
       if (sizes[i] > (uint64_t(1) << 32)) {
         return Status::Corruption("absurd chunk size in " + name);
@@ -128,6 +154,7 @@ Result<Table> FileStore::Load(const std::string& dir,
       if (opts.verify_checksums) {
         SCC_RETURN_NOT_OK(VerifySegmentChecksums(buf.data(), buf.size()));
       }
+      verified &= hdr.HasChecksums();
       col->compressed |= hdr.GetScheme() != Scheme::kUncompressed;
       total_rows += hdr.count;
       col->chunks.push_back(std::move(buf));
@@ -135,6 +162,7 @@ Result<Table> FileStore::Load(const std::string& dir,
     if (total_rows != rows) {
       return Status::Corruption("column row count mismatch: " + name);
     }
+    if (verified) SCC_RETURN_NOT_OK(Summarize(col.get()));
     SCC_RETURN_NOT_OK(table.AdoptColumn(std::move(col)));
   }
   return table;

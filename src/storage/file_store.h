@@ -42,7 +42,10 @@ class FileStore {
   static Status Save(const Table& table, const std::string& dir);
 
   /// Reads a table back. Validates every chunk header (and, by default,
-  /// every chunk's checksum block).
+  /// every chunk's checksum block). With verification on, an integer
+  /// column whose chunks all carry checksums gets its chunk summaries
+  /// back, decoded from the verified pages; otherwise it has none, so
+  /// unverified bytes never steer a scan's pruning.
   static Result<Table> Load(const std::string& dir,
                             const FileStoreLoadOptions& opts = {});
 };

@@ -2,6 +2,8 @@
 #define SCC_STORAGE_TABLE_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,6 +31,26 @@ namespace scc {
 
 enum class Layout { kDSM, kPAX };
 
+/// The values one chunk holds lie in [min, max]. An empty chunk's range
+/// is empty (min > max), so it can hold no value.
+struct ChunkRange {
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
+  bool operator==(const ChunkRange&) const = default;
+};
+
+/// The [min, max] of one chunk's values.
+template <CodecValue T>
+ChunkRange ChunkRangeOf(std::span<const T> values) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (T v : values) {
+    lo = std::min(lo, int64_t(v));
+    hi = std::max(hi, int64_t(v));
+  }
+  return ChunkRange{lo, hi};
+}
+
 /// Per-column storage: a sequence of segment buffers.
 struct StoredColumn {
   std::string name;
@@ -37,8 +59,18 @@ struct StoredColumn {
   size_t chunk_values = 0;
   std::vector<AlignedBuffer> chunks;
   bool compressed = false;
+  /// One [min, max] per chunk (a small materialized aggregate, after
+  /// Moerkotte), filled where the chunks are built. Empty when the column
+  /// has no summary: a float column, a column built by hand and adopted,
+  /// or one loaded without checksum verification.
+  std::vector<ChunkRange> ranges;
 
   size_t chunk_count() const { return chunks.size(); }
+  /// False only when chunk `k`'s summary proves it holds no value in
+  /// [lo, hi]; a column without a summary may hold any value anywhere.
+  bool ChunkMayHold(size_t k, int64_t lo, int64_t hi) const {
+    return ranges.empty() || (ranges[k].min <= hi && lo <= ranges[k].max);
+  }
   size_t ByteSize() const {
     size_t total = 0;
     for (const auto& c : chunks) total += c.size();
@@ -64,10 +96,10 @@ inline constexpr size_t kChunkSampleValues = size_t(64) * 1024;
 
 /// Builds one chunk's segment under `mode`, sampling up to
 /// kChunkSampleValues values from the chunk head for the analyzer
-/// (Section 3.1). Pure function of its arguments — the unit of work both
-/// the serial Table::AddColumn loop and the parallel bulk loader
-/// (storage/bulk_load.h) fan out, which is what makes their outputs
-/// byte-identical.
+/// (Section 3.1). Pure function of its arguments — through BuildChunkAt,
+/// the unit of work both the serial Table::AddColumn loop and the
+/// parallel bulk loader (storage/bulk_load.h) fan out, which is what
+/// makes their outputs byte-identical.
 template <CodecValue T>
 Result<AlignedBuffer> BuildColumnChunk(std::span<const T> chunk,
                                        ColumnCompression mode) {
@@ -100,13 +132,46 @@ Result<AlignedBuffer> BuildColumnChunk(std::span<const T> chunk,
   return Status::InvalidArgument("bad compression mode");
 }
 
+/// A new column of `rows` values in chunks of `chunk_values`, with a slot
+/// per chunk and per summary for BuildChunkAt to fill.
+template <CodecValue T>
+std::unique_ptr<StoredColumn> NewColumn(const std::string& name, size_t rows,
+                                        size_t chunk_values,
+                                        ColumnCompression mode) {
+  auto col = std::make_unique<StoredColumn>();
+  col->name = name;
+  col->type = TypeIdOf<T>();
+  col->rows = rows;
+  col->chunk_values = chunk_values;
+  col->compressed = mode != ColumnCompression::kNone;
+  const size_t nchunks =
+      rows == 0 ? 1 : (rows + chunk_values - 1) / chunk_values;
+  col->chunks.resize(nchunks);
+  col->ranges.resize(nchunks);
+  return col;
+}
+
+/// Builds chunk `ci` of `col` (made by NewColumn) from the column's
+/// `values`: its segment, then its summary while the chunk is cache-hot.
+/// Writes only slot ci, so chunk tasks can run in parallel.
+template <CodecValue T>
+Status BuildChunkAt(StoredColumn* col, std::span<const T> values, size_t ci,
+                    ColumnCompression mode) {
+  const size_t lo = ci * col->chunk_values;
+  const std::span<const T> chunk =
+      values.subspan(lo, std::min(col->chunk_values, values.size() - lo));
+  SCC_ASSIGN_OR_RETURN(col->chunks[ci], BuildColumnChunk<T>(chunk, mode));
+  col->ranges[ci] = ChunkRangeOf(chunk);
+  return Status::OK();
+}
+
 class Table {
  public:
   explicit Table(size_t chunk_values = 1u << 18)
       : chunk_values_(chunk_values) {}
 
-  /// Adds a column, compressing each chunk independently. All columns of
-  /// a table must have the same row count.
+  /// Adds a column, compressing and summarizing each chunk independently.
+  /// All columns of a table must have the same row count.
   template <CodecValue T>
   Status AddColumn(const std::string& name, std::span<const T> values,
                    ColumnCompression mode) {
@@ -114,21 +179,10 @@ class Table {
       return Status::InvalidArgument("column row count mismatch");
     }
     rows_ = values.size();
-    auto col = std::make_unique<StoredColumn>();
-    col->name = name;
-    col->type = TypeIdOf<T>();
-    col->rows = values.size();
-    col->chunk_values = chunk_values_;
-    col->compressed = mode != ColumnCompression::kNone;
-    const size_t nchunks =
-        values.empty() ? 1
-                       : (values.size() + chunk_values_ - 1) / chunk_values_;
-    for (size_t ci = 0; ci < nchunks; ci++) {
-      size_t lo = ci * chunk_values_;
-      size_t n = std::min(chunk_values_, values.size() - lo);
-      Result<AlignedBuffer> seg = BuildChunk(values.subspan(lo, n), mode);
-      SCC_RETURN_NOT_OK(seg.status());
-      col->chunks.push_back(seg.MoveValueOrDie());
+    std::unique_ptr<StoredColumn> col =
+        NewColumn<T>(name, values.size(), chunk_values_, mode);
+    for (size_t ci = 0; ci < col->chunk_count(); ci++) {
+      SCC_RETURN_NOT_OK(BuildChunkAt<T>(col.get(), values, ci, mode));
     }
     columns_.push_back(std::move(col));
     return Status::OK();
@@ -194,12 +248,6 @@ class Table {
   }
 
  private:
-  template <CodecValue T>
-  Result<AlignedBuffer> BuildChunk(std::span<const T> chunk,
-                                   ColumnCompression mode) {
-    return BuildColumnChunk<T>(chunk, mode);
-  }
-
   size_t chunk_values_;
   size_t rows_ = 0;
   std::vector<std::unique_ptr<StoredColumn>> columns_;

@@ -289,6 +289,55 @@ TEST(ParallelScanTest, ScanFetchesEachPageOnce) {
   }
 }
 
+TEST(ParallelScanTest, PrunedScanFetchesOnlyOverlappingChunks) {
+  // `a` is the row id, so a narrow range overlaps one or two of the seven
+  // 8192-row chunks. Through a fresh buffer manager the scan fetches the
+  // overlapping chunks' pages and no other, starts no more slots than it
+  // claims morsels, and counts every other morsel as pruned.
+  Table t = MakeTable(50000);
+  constexpr size_t kCols = 2;
+  struct Case {
+    int64_t lo, hi;
+    size_t overlap;
+  };
+  for (const Case& tc : {Case{3 * 8192 - 10, 3 * 8192 + 10, 2},
+                         Case{100, 199, 1}, Case{60000, 70000, 0}}) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("lo=" + std::to_string(tc.lo) +
+                   " threads=" + std::to_string(threads));
+      SimDisk disk;
+      BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM);
+      ParallelScan::Options opt;
+      opt.threads = threads;
+      ParallelScan scan(&t, &bm, {"a", "b"}, opt);
+      scan.SetPushdownBetween("a", tc.lo, tc.hi);
+      EXPECT_LE(scan.slot_count(), std::max<size_t>(tc.overlap, 1));
+#if SCC_TELEMETRY
+      SetTelemetryEnabled(true);
+      const uint64_t morsels0 = ExecMetrics::Get().scan_morsels->Value();
+      const uint64_t pruned0 = ExecMetrics::Get().scan_morsels_pruned->Value();
+#endif
+      std::atomic<size_t> matches{0};
+      Status st = scan.Run([&](const Batch&, size_t, size_t slot) {
+        matches.fetch_add(scan.selection(slot).count,
+                          std::memory_order_relaxed);
+      });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      const size_t want = tc.lo >= 50000 ? 0 : size_t(tc.hi - tc.lo + 1);
+      EXPECT_EQ(matches.load(), want);
+      EXPECT_EQ(bm.misses(), tc.overlap * kCols);
+      EXPECT_EQ(disk.read_count(), tc.overlap * kCols);
+      EXPECT_EQ(bm.pinned_pages(), 0u);
+#if SCC_TELEMETRY
+      EXPECT_EQ(ExecMetrics::Get().scan_morsels->Value() - morsels0,
+                tc.overlap);
+      EXPECT_EQ(ExecMetrics::Get().scan_morsels_pruned->Value() - pruned0,
+                scan.morsel_count() - tc.overlap);
+#endif
+    }
+  }
+}
+
 TEST(ParallelScanTest, ThreadsOptionBoundsSlotCount) {
   Table t = MakeTable(50000);
   SimDisk disk;

@@ -3,15 +3,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_scan.h"
 #include "storage/buffer_manager.h"
+#include "storage/bulk_load.h"
 #include "storage/scan.h"
 #include "util/rng.h"
 
 // Persistence round-trip tests: tables saved to a directory and loaded
 // back must scan identically; corrupted files must be rejected on load.
+// ChunkSummaryTest checks the per-chunk summaries the loaders write.
 
 namespace scc {
 namespace {
@@ -34,17 +38,27 @@ class FileStoreTest : public ::testing::Test {
   fs::path dir_;
 };
 
-Table MakeTable(size_t rows) {
+struct Columns {
+  std::vector<int64_t> a;  // 3i + 7: sorted
+  std::vector<int8_t> b;   // tiny domain
+};
+
+Columns MakeColumns(size_t rows) {
   Rng rng(1);
-  std::vector<int64_t> a(rows);
-  std::vector<int8_t> b(rows);
+  Columns c{std::vector<int64_t>(rows), std::vector<int8_t>(rows)};
   for (size_t i = 0; i < rows; i++) {
-    a[i] = int64_t(i) * 3 + 7;
-    b[i] = int8_t(rng.Uniform(5));
+    c.a[i] = int64_t(i) * 3 + 7;
+    c.b[i] = int8_t(rng.Uniform(5));
   }
+  return c;
+}
+
+Table MakeTable(size_t rows) {
+  const Columns c = MakeColumns(rows);
   Table t(8192);
-  SCC_CHECK(t.AddColumn<int64_t>("a", a, ColumnCompression::kAuto).ok(), "a");
-  SCC_CHECK(t.AddColumn<int8_t>("b", b, ColumnCompression::kAuto).ok(), "b");
+  SCC_CHECK(t.AddColumn<int64_t>("a", c.a, ColumnCompression::kAuto).ok(),
+            "a");
+  SCC_CHECK(t.AddColumn<int8_t>("b", c.b, ColumnCompression::kAuto).ok(), "b");
   return t;
 }
 
@@ -194,6 +208,94 @@ TEST_F(FileStoreTest, ManifestGarbageRejected) {
   std::ofstream(dir_ / "MANIFEST") << "not a column line\n";
   auto loaded = FileStore::Load(dir_.string());
   EXPECT_FALSE(loaded.ok());
+}
+
+// Chunk summaries (StoredColumn::ranges), which ParallelScan prunes on:
+// every loader computes the same ones, a verified load derives them from
+// the pages, and a load that skips verification has none.
+class ChunkSummaryTest : public FileStoreTest {};
+
+struct NarrowScan {
+  size_t matches = 0;
+  int64_t sum = 0;   // of b over the matches
+  size_t fetched = 0;  // pages read from the device
+};
+
+/// Scans a in [lo, hi] through a fresh buffer manager.
+NarrowScan ScanA(const Table& t, int64_t lo, int64_t hi) {
+  SimDisk disk;
+  BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM);
+  ParallelScan scan(&t, &bm, {"a", "b"});
+  scan.SetPushdownBetween("a", lo, hi);
+  std::vector<NarrowScan> slots(scan.slot_count());
+  Status st = scan.Run([&](const Batch& batch, size_t, size_t slot) {
+    const SelVec& sel = scan.selection(slot);
+    const int8_t* b = batch.col(1)->data<int8_t>();
+    for (size_t k = 0; k < sel.count; k++) slots[slot].sum += b[sel.idx[k]];
+    slots[slot].matches += sel.count;
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(bm.pinned_pages(), 0u);
+  NarrowScan out;
+  for (const NarrowScan& s : slots) {
+    out.matches += s.matches;
+    out.sum += s.sum;
+  }
+  out.fetched = disk.read_count();
+  return out;
+}
+
+TEST_F(ChunkSummaryTest, LoadersAndVerifiedLoadAgree) {
+  const size_t rows = 50000;  // 6 full chunks and a tail
+  const Columns c = MakeColumns(rows);
+  Table t = MakeTable(rows);
+  const StoredColumn* a = t.column("a");
+  ASSERT_EQ(a->ranges.size(), a->chunk_count());
+  for (size_t k = 0; k < a->chunk_count(); k++) {
+    const int64_t first = int64_t(k * 8192) * 3 + 7;
+    const int64_t last = int64_t(k * 8192 + a->ChunkRows(k) - 1) * 3 + 7;
+    EXPECT_EQ(a->ranges[k], (ChunkRange{first, last})) << "chunk " << k;
+  }
+  for (unsigned threads : {1u, 4u}) {
+    Table bulk(8192);
+    BulkLoadOptions opts;
+    opts.threads = threads;
+    ASSERT_TRUE(BulkLoadColumn<int64_t>(&bulk, "a", c.a, opts).ok());
+    ASSERT_TRUE(BulkLoadColumn<int8_t>(&bulk, "b", c.b, opts).ok());
+    for (const char* name : {"a", "b"}) {
+      EXPECT_EQ(bulk.column(name)->ranges, t.column(name)->ranges)
+          << name << " threads=" << threads;
+    }
+  }
+  ASSERT_TRUE(FileStore::Save(t, dir_.string()).ok());
+  auto loaded = FileStore::Load(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const char* name : {"a", "b"}) {
+    EXPECT_EQ(loaded.ValueOrDie().column(name)->ranges,
+              t.column(name)->ranges)
+        << name;
+  }
+}
+
+TEST_F(ChunkSummaryTest, UnverifiedLoadHasNoneAndScansEveryChunk) {
+  Table t = MakeTable(50000);
+  ASSERT_TRUE(FileStore::Save(t, dir_.string()).ok());
+  auto unverified =
+      FileStore::Load(dir_.string(), {.verify_checksums = false});
+  ASSERT_TRUE(unverified.ok()) << unverified.status().ToString();
+  const Table& u = unverified.ValueOrDie();
+  for (size_t i = 0; i < u.column_count(); i++) {
+    EXPECT_TRUE(u.column(i)->ranges.empty()) << u.column(i)->name;
+  }
+  // Rows 9000..9099, all in chunk 1.
+  const int64_t lo = 9000 * 3 + 7, hi = 9099 * 3 + 7;
+  const NarrowScan pruned = ScanA(t, lo, hi);
+  const NarrowScan full = ScanA(u, lo, hi);
+  EXPECT_EQ(pruned.matches, 100u);
+  EXPECT_EQ(full.matches, pruned.matches);
+  EXPECT_EQ(full.sum, pruned.sum);
+  EXPECT_EQ(pruned.fetched, 2u);  // chunk 1 of a and of b
+  EXPECT_EQ(full.fetched, 2 * t.chunk_count());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -505,51 +506,113 @@ TEST(ScanPushdown, EmptyAndFullRanges) {
   }
 }
 
+// What a filtered scan returns: the matches' count, value sum and row-id
+// sum (the last catches a match reported at the wrong row).
+struct Matches {
+  size_t count = 0;
+  int64_t sum = 0;
+  uint64_t row_sum = 0;
+  bool operator==(const Matches&) const = default;
+};
+
 TEST(ScanPushdown, ParallelScanMatchesSerial) {
-  const size_t rows = 60000;
+  // The serial TableScanOp never prunes, so it is the reference for
+  // ParallelScan's pruned claim list. `a` is sorted (chunk k holds
+  // [8192k, 8192k + 8191]), so its ranges prune most morsels, and their
+  // edges sit exactly on chunk minima and maxima; clustered `b` and
+  // tiny-domain `c` prune nothing.
+  const size_t rows = 60000;  // 7 full chunks and a 2656-row tail
   Table t = MakeTable(rows);
-  const int64_t lo = 5100, hi = 5400;
-
-  // Serial reference: sum of `a` over qualifying rows.
-  SimDisk d1;
-  BufferManager bm1(&d1, 1u << 30, Layout::kDSM);
-  TableScanOp ref(&t, &bm1, {"b", "a"});
-  ref.SetPushdownBetween("b", lo, hi);
-  Batch batch;
-  int64_t want_sum = 0;
-  size_t want_cnt = 0;
-  while (ref.Next(&batch)) {
-    const SelVec& sel = ref.selection();
-    const int64_t* a = batch.col(1)->data<int64_t>();
-    for (size_t k = 0; k < sel.count; k++) want_sum += a[sel.idx[k]];
-    want_cnt += sel.count;
-  }
-  ASSERT_GT(want_cnt, 0u);
-
-  for (unsigned threads : {1u, 4u}) {
-    SimDisk d2;
-    BufferManager bm2(&d2, 1u << 30, Layout::kDSM);
-    ParallelScan::Options opt;
-    opt.threads = threads;
-    ParallelScan scan(&t, &bm2, {"b", "a"}, opt);
-    scan.SetPushdownBetween("b", lo, hi);
-    std::vector<int64_t> sums(scan.slot_count(), 0);
-    std::vector<size_t> cnts(scan.slot_count(), 0);
-    Status st = scan.Run([&](const Batch& b, size_t /*morsel*/, size_t slot) {
-      const SelVec& sel = scan.selection(slot);
-      const int64_t* a = b.col(1)->data<int64_t>();
-      for (size_t k = 0; k < sel.count; k++) sums[slot] += a[sel.idx[k]];
-      cnts[slot] += sel.count;
-    });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    int64_t got_sum = 0;
-    size_t got_cnt = 0;
-    for (size_t s = 0; s < sums.size(); s++) {
-      got_sum += sums[s];
-      got_cnt += cnts[s];
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    const char* filter;
+    const char* value;
+    int64_t lo, hi;
+  };
+  const Case cases[] = {
+      {"b", "a", 5100, 5400},     // unsorted: every morsel
+      {"a", "b", 20000, 20100},   // inside chunk 2
+      {"a", "b", 8192, 8192},     // chunk 1's min
+      {"a", "b", 16383, 16383},   // chunk 1's max
+      {"a", "b", 16383, 16384},   // chunk 1's max to chunk 2's min
+      {"a", "b", 8191, 24576},    // chunk 0's max to chunk 3's min
+      {"a", "b", 57344, 59999},   // the tail chunk, exactly
+      {"a", "b", -100, -1},       // below the data
+      {"a", "b", 60000, 70000},   // above the data
+      {"a", "b", kMin, kMax},     // everything
+      {"c", "a", 2, 2},           // tiny domain: every morsel
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(std::string(tc.filter) + " in [" + std::to_string(tc.lo) +
+                 ", " + std::to_string(tc.hi) + "]");
+    SimDisk d1;
+    BufferManager bm1(&d1, 1u << 30, Layout::kDSM);
+    TableScanOp ref(&t, &bm1, {tc.filter, tc.value});
+    ref.SetPushdownBetween(tc.filter, tc.lo, tc.hi);
+    Batch batch;
+    Matches want;
+    uint64_t row = 0;
+    while (size_t n = ref.Next(&batch)) {
+      const SelVec& sel = ref.selection();
+      const int64_t* v = batch.col(1)->data<int64_t>();
+      for (size_t k = 0; k < sel.count; k++) {
+        want.sum += v[sel.idx[k]];
+        want.row_sum += row + sel.idx[k];
+      }
+      want.count += sel.count;
+      row += n;
     }
-    EXPECT_EQ(want_sum, got_sum) << "threads=" << threads;
-    EXPECT_EQ(want_cnt, got_cnt) << "threads=" << threads;
+
+    for (KernelIsa isa : SupportedKernelIsas()) {
+      ScopedKernelIsa force(isa);
+      for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("isa=" + std::string(KernelIsaName(isa)) +
+                     " threads=" + std::to_string(threads));
+        SimDisk d2;
+        BufferManager bm2(&d2, 1u << 30, Layout::kDSM);
+        ParallelScan::Options opt;
+        opt.threads = threads;
+        ParallelScan scan(&t, &bm2, {tc.filter, tc.value}, opt);
+        scan.SetPushdownBetween(tc.filter, tc.lo, tc.hi);
+        struct alignas(64) Slot {
+          Matches m;
+          size_t morsel = SIZE_MAX;
+          size_t off = 0;
+          bool ascending = true;
+        };
+        std::vector<Slot> slots(scan.slot_count());
+        Status st = scan.Run([&](const Batch& b, size_t morsel, size_t slot) {
+          Slot& s = slots[slot];
+          // Each slot claims its morsels in ascending order.
+          if (morsel != s.morsel) {
+            s.ascending &= s.morsel == SIZE_MAX || morsel > s.morsel;
+            s.morsel = morsel;
+            s.off = 0;
+          }
+          const SelVec& sel = scan.selection(slot);
+          const int64_t* v = b.col(1)->data<int64_t>();
+          const uint64_t base = morsel * t.chunk_values() + s.off;
+          for (size_t k = 0; k < sel.count; k++) {
+            s.m.sum += v[sel.idx[k]];
+            s.m.row_sum += base + sel.idx[k];
+          }
+          s.m.count += sel.count;
+          s.off += b.rows;
+        });
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        Matches got;
+        for (const Slot& s : slots) {
+          EXPECT_TRUE(s.ascending);
+          got.count += s.m.count;
+          got.sum += s.m.sum;
+          got.row_sum += s.m.row_sum;
+        }
+        EXPECT_EQ(want, got) << "want " << want.count << " matches, got "
+                             << got.count;
+        EXPECT_EQ(bm2.pinned_pages(), 0u);
+      }
+    }
   }
 }
 

@@ -258,6 +258,44 @@ TEST(TieredBM, PointReadFaultDecodesExactlyOneEntryGroup) {
   (void)before;  // read only in the SCC_TELEMETRY branches above
 }
 
+TEST(TieredBM, HotSlabRefillsAfterClearWithoutEvicting) {
+  // A 16-slot hot tier: each decoded group takes one slab slot, charged
+  // kEntryGroup int64 values whatever the column's width. Clear() gives
+  // every slot back, so refilling the tier to capacity evicts nothing.
+  TestData d = MakeData(20000);
+  constexpr size_t kSlots = 16;
+  constexpr size_t kSlotBytes = kEntryGroup * sizeof(int64_t);
+  SimDisk disk;
+  BufferManager::TierConfig tc;
+  tc.hot_capacity_bytes = kSlots * kSlotBytes;
+  BufferManager bm(&disk, size_t(1) << 30, Layout::kDSM, tc);
+  auto fill = [&](size_t first_group) {
+    for (size_t g = first_group; g < first_group + kSlots; g++) {
+      const size_t row = g * kEntryGroup + 5;
+      Result<int32_t> v = bm.ReadValue<int32_t>(&d.t, d.t.column("c"), row);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      EXPECT_EQ(v.ValueOrDie(), d.c[row]) << "row " << row;
+    }
+  };
+  auto hot = [&] { return bm.tier_stats(BufferManager::CacheTier::kHot); };
+  fill(0);
+  EXPECT_EQ(hot().evictions, 0u);
+  EXPECT_EQ(hot().resident_entries, kSlots);
+  EXPECT_EQ(hot().resident_bytes, kSlots * kSlotBytes);
+  fill(kSlots);  // sixteen new groups: each evicts one
+  EXPECT_EQ(hot().evictions, kSlots);
+
+  bm.Clear();
+  EXPECT_EQ(hot().resident_entries, 0u);
+  fill(2 * kSlots);
+  EXPECT_EQ(hot().evictions, kSlots);  // none since the Clear
+  EXPECT_EQ(hot().resident_entries, kSlots);
+  const size_t hits = hot().hits;
+  fill(2 * kSlots);  // every refilled group is served from its slot
+  EXPECT_EQ(hot().hits - hits, kSlots);
+  EXPECT_EQ(hot().evictions, kSlots);
+}
+
 TEST(TieredBM, PinnedPagesAreNeverDemoted) {
   TestData d = MakeData(90000);  // 11 chunks per column
   const StoredColumn* col = d.t.column("a");

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -70,20 +71,17 @@ bool ReadTbl(const char* path, std::vector<NamedColumn>* out) {
     bool all_int = true;
     bool all_decimal = true;
   };
-  FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
+  std::ifstream f(path);
+  if (!f) {
     fprintf(stderr, "error: cannot open %s\n", path);
     return false;
   }
   std::vector<TblColumn> cols;
   std::string line;
-  char buf[1 << 16];
   size_t row = 0;
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    line.assign(buf);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
+  // Whole lines, however long: a row is never split into two.
+  while (std::getline(f, line)) {
+    while (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     size_t start = 0, ci = 0;
     while (start <= line.size()) {
@@ -118,7 +116,6 @@ bool ReadTbl(const char* path, std::vector<NamedColumn>* out) {
     row++;
     for (; ci < cols.size(); ci++) cols[ci].values.push_back(0);
   }
-  std::fclose(f);
   for (TblColumn& c : cols) {
     if (!c.all_int && !c.all_decimal) {
       fprintf(stderr,
